@@ -1,29 +1,107 @@
-"""Exact rational linear algebra: reduced row echelon, rank, nullspace."""
+"""Exact linear algebra over the rationals: reduced row echelon, rank, nullspace.
+
+Elimination works on sparse integer rows, dicts from column to a nonzero int.
+Each input row is scaled to coprime integers.  It is then reduced against an
+echelon basis keyed by leading column: cross-multiply to clear the leading
+entry, then divide out the content (the gcd of the entries), which leaves no
+remainder.  This is fraction-free elimination (see E. H. Bareiss, Math. Comp.
+22, 1968), and rows stay short when the input is sparse.  Back-substitution
+runs on the same integer rows.
+
+``Fraction``s appear only in the results: the reduced rows of ``rref`` and
+the vectors of ``nullspace``.  The reduced row echelon form of a row space is
+unique, so the results do not depend on the order of elimination.
+"""
 
 from fractions import Fraction
+from itertools import compress
+from math import gcd, lcm
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _integer_row(row, ncols):
+    """The row as a sparse dict of coprime ints, with the same row space."""
+    if len(row) != ncols:
+        raise ValueError(f"row has {len(row)} entries, expected {ncols}")
+    sparse = {c: row[c] for c in compress(range(ncols), row)}
+    if not all(type(x) is int for x in sparse.values()):
+        fracs = {c: Fraction(x) for c, x in sparse.items()}
+        scale = lcm(*(x.denominator for x in fracs.values()))
+        sparse = {c: int(x * scale) for c, x in fracs.items() if x}
+    return _primitive(sparse)
+
+
+def _primitive(row):
+    """Divide out the row's content, in place; return the row."""
+    g = gcd(*row.values())
+    if g > 1:
+        for c in row:
+            row[c] //= g
+    return row
+
+
+def _eliminate(row, col, pivot_row):
+    """Clear `col` from `row` with an integer multiple of `pivot_row`, in place."""
+    a, b = pivot_row[col], row[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        for c in row:
+            row[c] *= a
+    for c, x in pivot_row.items():
+        y = row.get(c, 0) - b * x
+        if y:
+            row[c] = y
+        else:
+            del row[c]
+    if row:
+        _primitive(row)
+
+
+def _echelon(rows, ncols):
+    """Echelon basis of the row space: {leading column: primitive int row}."""
+    basis = {}
+    for row in rows:
+        row = _integer_row(row, ncols)
+        while row:
+            lead = min(row)
+            pivot_row = basis.get(lead)
+            if pivot_row is None:
+                basis[lead] = row
+                break
+            if len(row) < len(pivot_row):
+                # Keep the shorter row as the pivot, so that fill stays low.
+                basis[lead], row, pivot_row = row, pivot_row, row
+            _eliminate(row, lead, pivot_row)
+    return basis
 
 
 def rref(rows, ncols):
-    """Reduced row echelon form.  Returns (reduced rows, pivot column list)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    """Reduced row echelon form.  Returns (reduced rows, pivot column list).
+
+    Every row must have exactly `ncols` entries.
+    """
+    basis = _echelon(rows, ncols)
+    pivots = sorted(basis)
+    # Back-substitution, from the last pivot up.  A reduced row is zero in
+    # every pivot column but its own, so clearing one column fills no other.
+    reduced = {}
+    for p in reversed(pivots):
+        row = basis[p]
+        for q in [c for c in row if c != p and c in reduced]:
+            _eliminate(row, q, reduced[q])
+        reduced[p] = row
+    out = []
+    for p in pivots:
+        row = reduced[p]
+        lead = row[p]
+        dense = [_ZERO] * ncols
+        for c, x in row.items():
+            dense[c] = Fraction(x, lead)
+        out.append(dense)
+    return out, pivots
 
 
 def rank(rows, ncols):
@@ -36,15 +114,17 @@ def nullspace(rows, ncols):
     Each vector is normalized so its first nonzero coordinate is +1.
     """
     reduced, pivots = rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
+        vec = [_ZERO] * ncols
+        vec[f] = _ONE
         for row, p in zip(reduced, pivots):
-            vec[p] = -row[f]
-        lead = next(x for x in vec if x != 0)
+            if row[f]:
+                vec[p] = -row[f]
+        lead = next(x for x in vec if x)
         if lead != 1:
-            vec = [x / lead for x in vec]
+            vec = [x / lead if x else x for x in vec]
         basis.append(tuple(vec))
     return basis

@@ -3,8 +3,8 @@ active-constraint face-dimension oracle.
 
 The oracle computes the dimension of the minimal face containing a point as
 the nullity of the matrix stacking all equality rows and the inequality rows
-tight at the point, by exact rational elimination.  It is the independent
-check for the tile-counting formulas.
+tight at the point, by exact fraction-free elimination of its 0/+-1 integer
+rows.  It is the independent check for the tile-counting formulas.
 """
 
 from dataclasses import dataclass
@@ -303,17 +303,17 @@ def _equality_rows(system):
     rows = []
     if system.eq_top is not None:
         for r in range(1, n + 1):
-            row = [Fraction(0)] * ncols
-            row[coord_index(n, (n, r))] = Fraction(1)
+            row = [0] * ncols
+            row[coord_index(n, (n, r))] = 1
             rows.append(row)
     if system.eq_weights is not None:
         for k in range(1, n + 1):
-            row = [Fraction(0)] * ncols
+            row = [0] * ncols
             for i in range(1, k + 1):
-                row[coord_index(n, (k, i))] = Fraction(1)
+                row[coord_index(n, (k, i))] = 1
             if k > 1:
                 for i in range(1, k):
-                    row[coord_index(n, (k - 1, i))] = Fraction(-1)
+                    row[coord_index(n, (k - 1, i))] = -1
             rows.append(row)
     return rows
 
@@ -340,7 +340,7 @@ def face_dim_oracle(system, X):
     zero = Entry.rational(0)
     for src, dst in system.inequalities:
         if X[src] == X[dst]:
-            row = [Fraction(0)] * ncols
+            row = [0] * ncols
             row[coord_index(n, src)] += 1
             row[coord_index(n, dst)] -= 1
             rows.append(row)
@@ -348,8 +348,8 @@ def face_dim_oracle(system, X):
             raise Infeasible(f"inequality {src} >= {dst} violated")
     for v in system.nonneg:
         if X[v] == zero:
-            row = [Fraction(0)] * ncols
-            row[coord_index(n, v)] = Fraction(1)
+            row = [0] * ncols
+            row[coord_index(n, v)] = 1
             rows.append(row)
         elif cmp_entries(X[v], zero) < 0:
             raise Infeasible(f"nonnegativity violated at {v}")

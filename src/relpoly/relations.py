@@ -147,13 +147,6 @@ def connected_components(C):
     return tuple(sorted((frozenset(b) for b in blocks.values()), key=min))
 
 
-def same_component(C, a, b):
-    for block in connected_components(C):
-        if a in block:
-            return b in block
-    return False
-
-
 @dataclass(frozen=True)
 class ReducedReport:
     ok: bool

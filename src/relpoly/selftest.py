@@ -42,12 +42,12 @@ def random_c_pattern(rng, C, width=4):
 
 
 def face_dim_sweep(seed, count=200, widths=(2, 3, 4)):
-    """Compare the tile-counting dimensions with the rank oracle."""
+    """Compare the tile-counting dimensions with the rank oracle, n in [2, 12]."""
     rng = random.Random(seed)
     failures = []
     for idx in range(count):
         name, k, variant = FACE_DIM_FAMILIES[rng.randrange(len(FACE_DIM_FAMILIES))]
-        n = rng.randint(2, 5)
+        n = rng.randint(2, 12)
         k_eff = min(k, n)
         C = standard_set(n, k_eff, variant)
         X = random_c_pattern(rng, C, rng.choice(widths))

@@ -192,6 +192,30 @@ def test_oracle_matches_tile_counts():
         assert face_dim_oracle(system_at(C, X, "mu"), X) == r
 
 
+def test_oracle_constant_pattern_n30():
+    C = standard_set(30, 1, "both")
+    X = constant_pattern(30, 3)
+    dims = tuple(
+        face_dim_oracle(system_at(C, X, which), X)
+        for which in ("pc", "lambda", "mu")
+    )
+    assert dims == min_face_dims(C, X) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("k, variant", [(1, "both"), (2, "both"), (1, "plus")])
+@pytest.mark.parametrize("n", [14, 16])
+def test_oracle_matches_tile_counts_large(n, k, variant):
+    rng = random.Random(1000 * n + 10 * k + len(variant))
+    C = standard_set(n, k, variant)
+    for _ in range(2):
+        X = random_c_pattern(rng, C, rng.choice((2, 3, 4)))
+        dims = tuple(
+            face_dim_oracle(system_at(C, X, which), X)
+            for which in ("pc", "lambda", "mu")
+        )
+        assert dims == min_face_dims(C, X)
+
+
 def test_counts_match_weyl_dims():
     C2 = standard_set(2, 1, "both")
     C3 = standard_set(3, 1, "both")
