@@ -3,7 +3,7 @@
 The raising, lowering and diagonal generators act on a tableau through
 rational coefficient formulas in its entries; tableaux produced outside the
 distinguished basis are treated as zero (that convention is what closes the
-action for admissible relation sets), with optional leak reporting for
+action for admissible relation sets), or raise OutOfBasisLeak on request when
 probing non-admissible sets.
 """
 
@@ -142,32 +142,45 @@ def _act_one(gen, M):
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def act_in_basis(C, L, gen, v, strict=False, collect_leaks=False):
+def _in_basis_terms(gen, M, locate):
+    """Terms of one generator on one tableau, split by basis membership.
+
+    locate maps a tableau to its key in the basis, or to None outside it.
+    Returns the in-basis terms as {key: coefficient} and the dropped ones as
+    a list of (tableau, coefficient), both in term order.
+    """
+    kept = {}
+    dropped = []
+    for target, c in _act_one(gen, M).terms:
+        key = locate(target)
+        if key is None:
+            dropped.append((target, c))
+        else:
+            kept[key] = c
+    return kept, dropped
+
+
+def act_in_basis(C, L, gen, v, strict=False):
     """Linear extension of a generator with the basis-membership filter.
 
     Terms landing outside the basis are treated as zero.  With strict=True a
-    nonzero out-of-basis coefficient raises OutOfBasisLeak; with
-    collect_leaks=True the dropped (pattern, coefficient) pairs are returned
-    alongside the result.
+    nonzero out-of-basis coefficient raises OutOfBasisLeak.
     """
     for pattern, _ in v.terms:
         if not _satisfies(C, pattern):
             raise NotSatisfying("input term outside the basis")
+
+    def locate(P):
+        return P if _satisfies(C, P) else None
+
     items = []
-    leaks = []
     for pattern, coeff in v.terms:
-        for target, c in _act_one(gen, pattern).terms:
-            c = c * coeff
-            if _satisfies(C, target):
-                items.append((target, c))
-            else:
-                if strict:
-                    raise OutOfBasisLeak(target, c)
-                leaks.append((target, c))
-    result = LinComb.build(items)
-    if collect_leaks:
-        return result, tuple(leaks)
-    return result
+        kept, dropped = _in_basis_terms(gen, pattern, locate)
+        if strict and dropped:
+            target, c = dropped[0]
+            raise OutOfBasisLeak(target, c * coeff)
+        items += [(target, c * coeff) for target, c in kept.items()]
+    return LinComb.build(items)
 
 
 @dataclass(frozen=True)
@@ -180,53 +193,103 @@ class CommutatorReport:
         return not self.failures
 
 
+def _nonzero(acc):
+    return {j: c for j, c in acc.items() if c}
+
+
 def check_commutators(C, L, sample):
     """Verify the bracket identities of the generator action on each sample.
 
     Checked per basis tableau: [raise_k, lower_k] = cartan_k - cartan_{k+1};
     cartan brackets scale raise/lower by the usual +/-1 pattern; mixed and
     distant same-type brackets vanish.
+
+    Vectors are dicts from basis positions to coefficients.  Tableaux get a
+    position the first time they are met (None outside the basis), and the
+    column of a generator at a position is built the first time a bracket
+    needs it, so a sample without a finite basis is fine.
     """
     n = L.n
     failures = []
     checked = 0
+    patterns = []
+    index = {}
+    columns = {}
 
-    def apply(gen, v):
-        return act_in_basis(C, L, gen, v)
+    def locate(P):
+        try:
+            return index[P]
+        except KeyError:
+            pos = None
+            if _satisfies(C, P):
+                pos = len(patterns)
+                patterns.append(P)
+            index[P] = pos
+            return pos
 
-    def bracket(g1, g2, v):
-        return apply(g1, apply(g2, v)) - apply(g2, apply(g1, v))
+    def apply(gen, vec):
+        # vec is a sample vector or a multiple of one column, whose keys are in
+        # term order, so columns are built in the order act_in_basis acts on
+        # the terms, and the first error raised is the one it would raise.
+        acc = {}
+        for j, c in vec.items():
+            if (gen, j) not in columns:
+                columns[gen, j] = _in_basis_terms(gen, patterns[j], locate)[0]
+            for t, a in columns[gen, j].items():
+                if t in acc:
+                    acc[t] += a * c
+                else:
+                    acc[t] = a * c
+        return _nonzero(acc)
+
+    def minus(a, b, scale=1):
+        acc = dict(a)
+        for j, c in b.items():
+            if j in acc:
+                acc[j] -= scale * c
+            else:
+                acc[j] = -scale * c
+        return _nonzero(acc)
+
+    def bracket(g1, g2, vec):
+        return minus(apply(g1, apply(g2, vec)), apply(g2, apply(g1, vec)))
+
+    def residual(vec):
+        return str(LinComb.build((patterns[j], c) for j, c in vec.items()))
 
     for M in sample:
-        v = LinComb.single(M)
+        pos = locate(M)
+        if pos is None:
+            raise NotSatisfying("input term outside the basis")
+        v = {pos: Fraction(1)}
         checked += 1
         for k in range(1, n):
             lhs = bracket((RAISE, k), (LOWER, k), v)
-            rhs = apply((CARTAN, k), v) - apply((CARTAN, k + 1), v)
-            if lhs != rhs:
-                failures.append((f"[raise{k},lower{k}]", M, str(lhs - rhs)))
+            res = minus(lhs, minus(apply((CARTAN, k), v), apply((CARTAN, k + 1), v)))
+            if res:
+                failures.append((f"[raise{k},lower{k}]", M, residual(res)))
         for j in range(1, n + 1):
             for k in range(1, n):
                 want = (1 if j == k else 0) - (1 if j == k + 1 else 0)
                 lhs = bracket((CARTAN, j), (RAISE, k), v)
-                rhs = apply((RAISE, k), v).scale(want)
-                if lhs != rhs:
-                    failures.append((f"[cartan{j},raise{k}]", M, str(lhs - rhs)))
+                res = minus(lhs, apply((RAISE, k), v), want)
+                if res:
+                    failures.append((f"[cartan{j},raise{k}]", M, residual(res)))
                 lhs = bracket((CARTAN, j), (LOWER, k), v)
-                rhs = apply((LOWER, k), v).scale(-want)
-                if lhs != rhs:
-                    failures.append((f"[cartan{j},lower{k}]", M, str(lhs - rhs)))
+                res = minus(lhs, apply((LOWER, k), v), -want)
+                if res:
+                    failures.append((f"[cartan{j},lower{k}]", M, residual(res)))
         for k in range(1, n):
             for l in range(1, n):
                 if abs(k - l) >= 2:
                     for kind in (RAISE, LOWER):
                         res = bracket((kind, k), (kind, l), v)
-                        if not res.is_zero():
-                            failures.append((f"[{kind}{k},{kind}{l}]", M, str(res)))
+                        if res:
+                            failures.append((f"[{kind}{k},{kind}{l}]", M, residual(res)))
                 if k != l:
                     res = bracket((RAISE, k), (LOWER, l), v)
-                    if not res.is_zero():
-                        failures.append((f"[raise{k},lower{l}]", M, str(res)))
+                    if res:
+                        failures.append((f"[raise{k},lower{l}]", M, residual(res)))
     return CommutatorReport(checked, tuple(failures))
 
 

@@ -122,14 +122,10 @@ def reaches(C, a, b):
     return b in _reach_sets(C)[a]
 
 
-@lru_cache(maxsize=None)
-def connected_components(C):
-    """Undirected components of the relation graph, as a tuple of frozensets.
-
-    Vertices outside the support are singleton blocks.  Blocks are sorted by
-    their least member.
-    """
-    parent = {v: v for v in vertices(C.n)}
+def _union_find_blocks(n, edges):
+    """Undirected components of the triangle of height n under the given
+    edges, as frozensets sorted by their least member."""
+    parent = {v: v for v in vertices(n)}
 
     def root(v):
         while parent[v] != v:
@@ -137,14 +133,24 @@ def connected_components(C):
             v = parent[v]
         return v
 
-    for src, dst in C:
-        ra, rb = root(src), root(dst)
+    for a, b in edges:
+        ra, rb = root(a), root(b)
         if ra != rb:
             parent[ra] = rb
     blocks = {}
-    for v in vertices(C.n):
+    for v in vertices(n):
         blocks.setdefault(root(v), set()).add(v)
     return tuple(sorted((frozenset(b) for b in blocks.values()), key=min))
+
+
+@lru_cache(maxsize=None)
+def connected_components(C):
+    """Undirected components of the relation graph, as a tuple of frozensets.
+
+    Vertices outside the support are singleton blocks.  Blocks are sorted by
+    their least member.
+    """
+    return _union_find_blocks(C.n, C)
 
 
 @dataclass(frozen=True)

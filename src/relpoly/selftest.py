@@ -17,7 +17,7 @@ FACE_DIM_FAMILIES = (
     ("empty", 1, "empty"),
 )
 
-COMMUTATOR_WEIGHTS = ((1, 0), (2, 0), (2, 1, 0), (1, 1, 0), (2, 1, 1, 0))
+COMMUTATOR_WEIGHTS = ((1, 0), (2, 0), (2, 1, 0), (1, 1, 0), (2, 1, 1, 0), (3, 2, 1, 0))
 
 
 def random_c_pattern(rng, C, width=4):

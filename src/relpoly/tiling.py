@@ -19,7 +19,7 @@ from .patterns import (
     is_c_pattern,
     separation,
 )
-from .relations import is_top_connected, support, vertices
+from .relations import _union_find_blocks, is_top_connected, support
 
 
 @dataclass(frozen=True)
@@ -49,24 +49,8 @@ def _require_c_pattern(C, X):
 def compute_tiling(C, X):
     """Partition the triangle by equal-entry walks; canonical tile order."""
     _require_c_pattern(C, X)
-    verts = vertices(C.n)
-    parent = {v: v for v in verts}
-
-    def root(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for src, dst in C:
-        if X[src] == X[dst]:
-            ra, rb = root(src), root(dst)
-            if ra != rb:
-                parent[ra] = rb
-    blocks = {}
-    for v in verts:
-        blocks.setdefault(root(v), set()).add(v)
-    tiles = sorted((frozenset(b) for b in blocks.values()), key=min)
+    equal = [(src, dst) for src, dst in C if X[src] == X[dst]]
+    tiles = _union_find_blocks(C.n, equal)
     free = [t for t in tiles if all(v[0] != C.n for v in t)]
     rest = [t for t in tiles if t not in free]
     return Tiling(C.n, tuple(free + rest), len(free))

@@ -1,10 +1,19 @@
 """Generator action on tableaux, commutator identities, dimension oracle."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from relpoly.errors import CriticalDenominator, NotDominant, OutOfBasisLeak
+from relpoly import fileio
+from relpoly.cli import main
+from relpoly.errors import (
+    CriticalDenominator,
+    NotDominant,
+    NotSatisfying,
+    OutOfBasisLeak,
+    RelpolyError,
+)
 from relpoly.modaction import (
     CARTAN,
     LOWER,
@@ -14,12 +23,13 @@ from relpoly.modaction import (
     act_in_basis,
     act_lower,
     act_raise,
+    CommutatorReport,
     check_commutators,
     weyl_dim,
 )
-from relpoly.patterns import Pattern, weight_vector
+from relpoly.patterns import Entry, Pattern, satisfies, weight_vector
 from relpoly.polyhedra import enumerate_integral
-from relpoly.relations import standard_set
+from relpoly.relations import RelationSet, connected_components, standard_set
 
 
 def rows(*data):
@@ -120,6 +130,165 @@ def test_check_commutators_generic_base():
              (Fraction(1, 7),))
     sample = [L, L.shifted(2, 1, 1), L.shifted(1, 1, -2)]
     assert check_commutators(C, L, sample).ok
+
+
+# A two-cycle between (1,1) and (2,1): the basis filter drops the lowered
+# tableau, so [raise1,lower1] misses cartan1 - cartan2 on the only vector.
+CYCLE_TEXT = "n 2\n1 1 -> 2 1\n2 1 -> 1 1\n"
+CYCLE_FAILURE = ("[raise1,lower1]", "1 0 | 1", "(-1)*[1 0 | 1]")
+
+
+def test_check_commutators_failure_report():
+    C = fileio.parse_relations(CYCLE_TEXT)
+    L = rows((1, 0), (1,))
+    report = check_commutators(C, L, enumerate_integral(C, L).points)
+    assert report.checked == 1
+    assert [(name, str(M), res) for name, M, res in report.failures] == [CYCLE_FAILURE]
+
+
+def test_cli_commutators_failure_report(capsys, tmp_path):
+    rel = tmp_path / "cycle.rel"
+    rel.write_text(CYCLE_TEXT)
+    pat = tmp_path / "cycle.pat"
+    pat.write_text(fileio.dump_pattern(rows((1, 0), (1,))))
+    code = main(["commutators", "--relations", str(rel), "--pattern", str(pat)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out == (
+        '{"checked": 1, "failures": '
+        '[["[raise1,lower1]", "1 0 | 1", "(-1)*[1 0 | 1]"]]}\n'
+    )
+
+
+def test_check_commutators_raises():
+    C = standard_set(2, 1, "both")
+    L = rows((1, 0), (0,))
+    with pytest.raises(NotSatisfying):
+        check_commutators(C, L, [L, rows((1, 0), (2,))])
+    C = standard_set(3, 3, "empty")
+    M = rows((2, 1, 0), (1, 2), (1,))
+    with pytest.raises(CriticalDenominator, match="row 2, entries 1 and 2"):
+        check_commutators(C, M, [M])
+
+
+def reference_check_commutators(C, L, sample):
+    """The bracket identities as a plain composition of act_in_basis calls."""
+    n = L.n
+    failures = []
+    checked = 0
+
+    def apply(gen, v):
+        return act_in_basis(C, L, gen, v)
+
+    def bracket(g1, g2, v):
+        return apply(g1, apply(g2, v)) - apply(g2, apply(g1, v))
+
+    for M in sample:
+        v = LinComb.single(M)
+        checked += 1
+        for k in range(1, n):
+            lhs = bracket((RAISE, k), (LOWER, k), v)
+            rhs = apply((CARTAN, k), v) - apply((CARTAN, k + 1), v)
+            if lhs != rhs:
+                failures.append((f"[raise{k},lower{k}]", M, str(lhs - rhs)))
+        for j in range(1, n + 1):
+            for k in range(1, n):
+                want = (1 if j == k else 0) - (1 if j == k + 1 else 0)
+                lhs = bracket((CARTAN, j), (RAISE, k), v)
+                rhs = apply((RAISE, k), v).scale(want)
+                if lhs != rhs:
+                    failures.append((f"[cartan{j},raise{k}]", M, str(lhs - rhs)))
+                lhs = bracket((CARTAN, j), (LOWER, k), v)
+                rhs = apply((LOWER, k), v).scale(-want)
+                if lhs != rhs:
+                    failures.append((f"[cartan{j},lower{k}]", M, str(lhs - rhs)))
+        for k in range(1, n):
+            for l in range(1, n):
+                if abs(k - l) >= 2:
+                    for kind in (RAISE, LOWER):
+                        res = bracket((kind, k), (kind, l), v)
+                        if not res.is_zero():
+                            failures.append((f"[{kind}{k},{kind}{l}]", M, str(res)))
+                if k != l:
+                    res = bracket((RAISE, k), (LOWER, l), v)
+                    if not res.is_zero():
+                        failures.append((f"[raise{k},lower{l}]", M, str(res)))
+    return CommutatorReport(checked, tuple(failures))
+
+
+def random_relation_set(rng, n):
+    """Random plus, minus and zero arcs: cyclic, non-reduced and
+    non-admissible sets included."""
+    arcs = []
+    for _ in range(rng.randint(0, 2 * n)):
+        kind = rng.choice(("plus", "minus", "zero"))
+        if kind == "plus":
+            k = rng.randint(2, n)
+            arcs.append(((k, rng.randint(1, k)), (k - 1, rng.randint(1, k - 1))))
+        elif kind == "minus":
+            k = rng.randint(1, n - 1)
+            arcs.append(((k, rng.randint(1, k)), (k + 1, rng.randint(1, k + 1))))
+        else:
+            i, j = rng.sample(range(1, n + 1), 2)
+            arcs.append(((n, i), (n, j)))
+    return RelationSet(n, arcs)
+
+
+def random_sample(rng, C):
+    """A pattern satisfying C and a few shifts of it, most of them kept
+    inside the basis.  Each component of C gets a common fractional or
+    labeled part now and then, so generic and labeled bases occur too."""
+    n = C.n
+    vals = {(k, i): rng.randint(0, 3) for k in range(1, n + 1) for i in range(1, k + 1)}
+    changed = True
+    while changed:
+        changed = False
+        for src, dst in C:
+            if vals[src] < vals[dst]:
+                vals[dst] = vals[src]
+                changed = True
+    entry = {v: Entry.rational(x) for v, x in vals.items()}
+    for block in connected_components(C):
+        roll = rng.random()
+        if roll < 0.2:
+            q = Fraction(rng.randint(1, 6), rng.randint(2, 7))
+            for v in block:
+                entry[v] = Entry.rational(vals[v] + q)
+        elif roll < 0.25:
+            for v in block:
+                entry[v] = Entry.sqrt(2, vals[v])
+    M = Pattern.from_rows(
+        [[entry[(k, i)] for i in range(1, k + 1)] for k in range(n, 0, -1)]
+    )
+    sample = [M]
+    for _ in range(rng.randint(0, 2)):
+        k = rng.randint(1, n - 1)
+        P = sample[-1].shifted(k, rng.randint(1, k), rng.choice((1, -1)))
+        if satisfies(C, P) or rng.random() < 0.2:
+            sample.append(P)
+    return M, sample
+
+
+def commutator_outcome(check, C, L, sample):
+    try:
+        report = check(C, L, sample)
+    except RelpolyError as exc:
+        return type(exc).__name__, str(exc)
+    return report.checked, [(name, str(M), res) for name, M, res in report.failures]
+
+
+def test_check_commutators_matches_reference():
+    rng = random.Random(20261018)
+    kinds = {"ok": 0, "failures": 0, "raised": 0}
+    for _ in range(240):
+        C = random_relation_set(rng, rng.choice((2, 2, 3, 3, 3, 4)))
+        L, sample = random_sample(rng, C)
+        got = commutator_outcome(check_commutators, C, L, sample)
+        want = commutator_outcome(reference_check_commutators, C, L, sample)
+        assert got == want, (C, [str(M) for M in sample])
+        kind = "raised" if isinstance(got[0], str) else "failures" if got[1] else "ok"
+        kinds[kind] += 1
+    assert min(kinds.values()) >= 30, kinds
 
 
 def test_cartan_eigenbasis():
