@@ -40,6 +40,8 @@ from .tiling import (
 from .polyhedra import (
     ConstraintSystem,
     assemble,
+    count_integral,
+    count_integral_weight,
     enumerate_integral,
     enumerate_integral_weight,
     face_dim_oracle,

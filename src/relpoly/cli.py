@@ -1,7 +1,7 @@
 """Batch command-line front end with stable JSON/text output.
 
-Exit codes: 0 success, 1 domain errors (structured error JSON on stdout),
-2 I/O or parse errors.
+Exit codes: 0 success, 1 domain errors and internal errors (structured
+error JSON on stdout), 2 I/O or parse errors.
 """
 
 import argparse
@@ -217,6 +217,9 @@ def cmd_selftest(args):
     for entry in report["commutators"]:
         print(f"commutators {entry['module']}: {entry['checked']} vectors, "
               f"{len(entry['failures'])} failures")
+    for entry in report["counts"]:
+        print(f"counts {entry['module']}: {entry['count']} points, "
+              f"Weyl dimension {entry['weyl_dim']}")
     print("selftest:", "PASS" if report["ok"] else "FAIL")
     return 0 if report["ok"] else 1
 
@@ -280,6 +283,10 @@ def main(argv=None):
         return 2
     except RelpolyError as exc:
         print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}))
+        return 1
+    except Exception as exc:
+        message = f"{type(exc).__name__}: {exc}"
+        print(json.dumps({"error": {"code": "internal", "message": message}}))
         return 1
 
 

@@ -140,9 +140,7 @@ class Pattern:
     def __post_init__(self):
         if len(self.entries) != self.n * (self.n + 1) // 2:
             raise ValueError("wrong number of entries")
-        object.__setattr__(
-            self, "entries", tuple(Entry.rational(e) for e in self.entries)
-        )
+        object.__setattr__(self, "entries", tuple(map(Entry.rational, self.entries)))
 
     @classmethod
     def from_rows(cls, rows):

@@ -9,6 +9,7 @@ rows.  It is the independent check for the tile-counting formulas.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import ceil, floor
 
 from . import linalg
@@ -112,9 +113,106 @@ def _relation_bounds(C):
     return uppers, lowers
 
 
-def enumerate_integral(C, L):
-    """All points of the top-row slice differing from L by integers below the
-    top row, in deterministic lexicographic order."""
+def _arcs_above(C):
+    """Per vertex (k, i) below the top row: the positions in row k+1 of the
+    entries that bound it from above, and of those that bound it from below."""
+    uppers, lowers = _relation_bounds(C)
+    return {
+        v: ([u[1] - 1 for u in uppers[v] if u[0] == v[0] + 1],
+            [w[1] - 1 for w in lowers[v] if w[0] == v[0] + 1])
+        for v in vertices(C.n - 1)
+    }
+
+
+def _fits(entry, ups, lows):
+    """entry has no entry of ups below it and none of lows above it."""
+    for u in ups:
+        d = u.diff(entry)
+        if d is None or d < 0:
+            return False
+    for w in lows:
+        d = entry.diff(w)
+        if d is None or d < 0:
+            return False
+    return True
+
+
+def _rows_below(C, candidates, sums=None):
+    """The map (k, row k) -> rows k-1 compatible with row k, memoised for
+    one call.  Rows are tuples of Entries.
+
+    candidates(k, row) lists, per entry of row k-1, the Entries to try
+    there in rising offset order.  No arc joins two entries of a row below
+    the top, so the compatible rows are the product of those lists, each
+    filtered by the arcs between its entry and row k.  Arcs between rows k-1
+    and k-2 are checked when row k-2 is built; arcs inside the top row are
+    the caller's to check.  With sums, row j must also sum to sums[j - 1],
+    which fixes the last entry of each row.
+    """
+    above = _arcs_above(C)
+    memo = {}
+
+    def below(k, row):
+        rows = memo.get((k, row))
+        if rows is None:
+            lists = []
+            for i, cands in enumerate(candidates(k, row), 1):
+                up_at, low_at = above[(k - 1, i)]
+                ups = [row[j] for j in up_at]
+                lows = [row[j] for j in low_at]
+                lists.append([e for e in cands if _fits(e, ups, lows)])
+            if sums is None:
+                rows = list(product(*lists))
+            else:
+                last = {e.offset: e for e in lists.pop()}
+                rows = []
+                for head in product(*lists):
+                    e = last.get(sums[k - 2] - sum(x.offset for x in head))
+                    if e is not None:
+                        rows.append(head + (e,))
+            memo[(k, row)] = rows
+        return rows
+
+    return below
+
+
+def _walk(L, below):
+    """Every point, in offsets_key order: rows are chosen top-down and each
+    row's candidates rise.  Iterative, with a stack of at most n - 1 rows."""
+    n = L.n
+    top = tuple(L.row(n))
+    if n == 1:
+        yield Pattern(n, top)
+        return
+    stack = [(top, iter(below(n, top)))]
+    while stack:
+        prefix, rows = stack[-1]
+        row = next(rows, None)
+        if row is None:
+            stack.pop()
+        elif len(stack) == n - 1:
+            yield Pattern(n, prefix + row)
+        else:
+            stack.append((prefix + row, iter(below(n - len(stack), row))))
+
+
+def _count(L, below):
+    """Number of paths through the rows, counted level by level."""
+    level = {tuple(L.row(L.n)): 1}
+    for k in range(L.n, 1, -1):
+        ways_below = {}
+        for row, ways in level.items():
+            for r in below(k, row):
+                ways_below[r] = ways_below.get(r, 0) + ways
+        level = ways_below
+    return sum(level.values())
+
+
+def _integral_rows(C, L):
+    """Check that C and L enumerate, and return the row map of their points.
+
+    Each vertex below the top row gets its candidates once, from the
+    top-row columns that certify its bounds."""
     if not satisfies(C, L):
         raise NotSatisfying("base pattern does not satisfy the relation set")
     report = is_polytope(C)
@@ -123,63 +221,24 @@ def enumerate_integral(C, L):
             f"no finite enumeration: unbounded at {report.unbounded_coordinates}"
         )
     ubs, lbs = _certificates(C)
-    uppers, lowers = _relation_bounds(C)
-    order = [
-        (k, i) for k in range(C.n - 1, 0, -1) for i in range(1, k + 1)
-    ]
-    top = {(C.n, r): L[(C.n, r)] for r in range(1, C.n + 1)}
-    results = []
-
-    def offset_range(v):
-        """Integer offsets t with lb <= l_v + t <= ub certifiable (superset)."""
+    top = L.row(C.n)
+    cands = {}
+    for v in vertices(C.n - 1):
         lv_lo, lv_hi = L[v].value_bounds()
-        lo_cap, hi_cap = None, None
-        for r in ubs[v]:
-            hi = top[(C.n, r)].value_bounds()[1] - lv_lo
-            hi_cap = hi if hi_cap is None else min(hi_cap, hi)
-        for r in lbs[v]:
-            lo = top[(C.n, r)].value_bounds()[0] - lv_hi
-            lo_cap = lo if lo_cap is None else max(lo_cap, lo)
-        return ceil(lo_cap), floor(hi_cap)
-
-    def ok(v, entry, assigned):
-        for u in uppers[v]:
-            other = assigned.get(u, top.get(u))
-            if other is not None:
-                d = other.diff(entry)
-                if d is None or d < 0:
-                    return False
-        for w in lowers[v]:
-            other = assigned.get(w, top.get(w))
-            if other is not None:
-                d = entry.diff(other)
-                if d is None or d < 0:
-                    return False
-        return True
-
-    def backtrack(pos, assigned):
-        if pos == len(order):
-            pt = L
-            for v, e in assigned.items():
-                pt = pt.with_entry(v, e)
-            results.append(pt)
-            return
-        v = order[pos]
-        lo, hi = offset_range(v)
-        for t in range(lo, hi + 1):
-            entry = L[v].add(t)
-            if ok(v, entry, assigned):
-                assigned[v] = entry
-                backtrack(pos + 1, assigned)
-                del assigned[v]
-
-    backtrack(0, {})
-    results.sort(key=Pattern.offsets_key)
-    return IntegralPointSet(L, tuple(results))
+        lo = max(top[r - 1].value_bounds()[0] for r in lbs[v]) - lv_hi
+        hi = min(top[r - 1].value_bounds()[1] for r in ubs[v]) - lv_lo
+        cands[v] = [L[v].add(t) for t in range(ceil(lo), floor(hi) + 1)]
+    rows = {k: [cands[(k - 1, i)] for i in range(1, k)] for k in range(2, C.n + 1)}
+    return _rows_below(C, lambda k, row: rows[k])
 
 
-def enumerate_integral_weight(C, L, mu):
-    """Points of the weight slice: row sums pinned, enumerated row by row."""
+def _weight_rows(C, L, mu):
+    """Check that C, L and mu give a weight slice, and return the row map of
+    its points.
+
+    The candidates of row k-1 come from intervals: bounds from the arcs to
+    row k, tightened by the row sum until they settle.  Raises
+    UnboundedWeightSlice at the first row reached where one stays open."""
     if not satisfies(C, L):
         raise NotSatisfying("base pattern does not satisfy the relation set")
     mu = tuple(Fraction(x) for x in mu)
@@ -191,110 +250,69 @@ def enumerate_integral_weight(C, L, mu):
         for e in L.row(k):
             if not e.is_rational:
                 raise NonRationalWeight("weight slice needs rational lower rows")
-    uppers, lowers = _relation_bounds(C)
-    partial = {(C.n, r): L[(C.n, r)] for r in range(1, C.n + 1)}
-    results = []
+    above = _arcs_above(C)
+    sums = [sum(mu[:k]) for k in range(1, C.n)]
 
-    def row_intervals(k, assigned):
-        """Finite rational (lo, hi) per entry of row k, or raise."""
-        target = sum(mu[:k])
-        los, his = {}, {}
-        for i in range(1, k + 1):
-            v = (k, i)
-            lo, hi = None, None
-            for u in uppers[v]:
-                if u in assigned and assigned[u].is_rational:
-                    val = assigned[u].offset
-                    hi = val if hi is None else min(hi, val)
-            for w in lowers[v]:
-                if w in assigned and assigned[w].is_rational:
-                    val = assigned[w].offset
-                    lo = val if lo is None else max(lo, val)
-            los[v], his[v] = lo, hi
-        for _ in range(k + 1):
+    def candidates(k, row):
+        m = k - 1
+        target = sums[m - 1]
+        los, his = [], []
+        for i in range(1, m + 1):
+            up_at, low_at = above[(m, i)]
+            his.append(min((row[j].offset for j in up_at), default=None))
+            los.append(max((row[j].offset for j in low_at), default=None))
+        for _ in range(m + 1):
             changed = False
-            for i in range(1, k + 1):
-                v = (k, i)
-                others_lo = [los[(k, j)] for j in range(1, k + 1) if j != i]
-                others_hi = [his[(k, j)] for j in range(1, k + 1) if j != i]
+            for i in range(m):
+                others_lo = los[:i] + los[i + 1:]
+                others_hi = his[:i] + his[i + 1:]
                 if all(x is not None for x in others_lo):
                     cap = target - sum(others_lo)
-                    if his[v] is None or cap < his[v]:
-                        his[v] = cap
+                    if his[i] is None or cap < his[i]:
+                        his[i] = cap
                         changed = True
                 if all(x is not None for x in others_hi):
                     cap = target - sum(others_hi)
-                    if los[v] is None or cap > los[v]:
-                        los[v] = cap
+                    if los[i] is None or cap > los[i]:
+                        los[i] = cap
                         changed = True
             if not changed:
                 break
-        for i in range(1, k + 1):
-            v = (k, i)
-            if los[v] is None or his[v] is None:
+        out = []
+        for i in range(1, m + 1):
+            lo, hi = los[i - 1], his[i - 1]
+            if lo is None or hi is None:
                 raise UnboundedWeightSlice(
-                    f"no finite search interval for coordinate {v}"
+                    f"no finite search interval for coordinate {(m, i)}"
                 )
-        return target, los, his
+            base = L[(m, i)].offset
+            out.append([Entry.rational(base + t)
+                        for t in range(ceil(lo - base), floor(hi - base) + 1)])
+        return out
 
-    def ok(v, entry, assigned):
-        for u in uppers[v]:
-            if u in assigned:
-                d = assigned[u].diff(entry)
-                if d is None or d < 0:
-                    return False
-        for w in lowers[v]:
-            if w in assigned:
-                d = entry.diff(assigned[w])
-                if d is None or d < 0:
-                    return False
-        return True
+    return _rows_below(C, candidates, sums)
 
-    def fill_row(k, assigned):
-        if k == 0:
-            pt = L
-            for v, e in assigned.items():
-                pt = pt.with_entry(v, e)
-            results.append(pt)
-            return
-        target, los, his = row_intervals(k, assigned)
 
-        def entry_for(i, value):
-            base = L[(k, i)].offset
-            t = value - base
-            if t.denominator != 1:
-                return None
-            return Entry.rational(value)
+def enumerate_integral(C, L):
+    """All points of the top-row slice differing from L by integers below the
+    top row, in deterministic lexicographic order."""
+    return IntegralPointSet(L, tuple(_walk(L, _integral_rows(C, L))))
 
-        def assign(i, remaining):
-            v = (k, i)
-            if i == k:
-                entry = entry_for(i, remaining)
-                if (
-                    entry is not None
-                    and los[v] <= remaining <= his[v]
-                    and ok(v, entry, assigned)
-                ):
-                    assigned[v] = entry
-                    fill_row(k - 1, assigned)
-                    del assigned[v]
-                return
-            base = L[v].offset
-            lo_t = ceil(los[v] - base)
-            hi_t = floor(his[v] - base)
-            for t in range(lo_t, hi_t + 1):
-                value = base + t
-                entry = Entry.rational(value)
-                if ok(v, entry, assigned):
-                    assigned[v] = entry
-                    assign(i + 1, remaining - value)
-                    del assigned[v]
 
-        assign(1, target)
+def enumerate_integral_weight(C, L, mu):
+    """Points of the weight slice: row sums pinned, enumerated row by row."""
+    return IntegralPointSet(L, tuple(_walk(L, _weight_rows(C, L, mu))))
 
-    fill_row(C.n - 1, dict(partial))
-    results.sort(key=Pattern.offsets_key)
-    return IntegralPointSet(L, tuple(results))
+
+def count_integral(C, L):
+    """len(enumerate_integral(C, L).points), without building the points."""
+    return _count(L, _integral_rows(C, L))
+
+
+def count_integral_weight(C, L, mu):
+    """len(enumerate_integral_weight(C, L, mu).points), without building the
+    points."""
+    return _count(L, _weight_rows(C, L, mu))
 
 
 def _equality_rows(system):

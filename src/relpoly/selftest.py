@@ -1,11 +1,12 @@
-"""Seeded random sweeps: face-dimension oracle equivalence and commutators."""
+"""Seeded random sweeps: face-dimension oracle equivalence, commutators, and
+lattice-point counts against the Weyl product formula."""
 
 import random
 from fractions import Fraction
 
-from .modaction import check_commutators
+from .modaction import check_commutators, weyl_dim
 from .patterns import Pattern
-from .polyhedra import enumerate_integral, face_dim_oracle, system_at
+from .polyhedra import count_integral, enumerate_integral, face_dim_oracle, system_at
 from .relations import standard_set, vertices
 from .tiling import min_face_dims
 
@@ -18,6 +19,14 @@ FACE_DIM_FAMILIES = (
 )
 
 COMMUTATOR_WEIGHTS = ((1, 0), (2, 0), (2, 1, 0), (1, 1, 0), (2, 1, 1, 0), (3, 2, 1, 0))
+
+COUNT_WEIGHTS = ((3, 1, 0), (4, 2, 1, 0), (6, 4, 2, 1, 0), (5, 4, 2, 2, 1, 0),
+                 (6, 5, 3, 2, 1, 0))
+
+
+def gt_base(lam):
+    """Highest-weight base pattern: row k holds the first k entries of lam."""
+    return Pattern.from_rows([list(lam[:k]) for k in range(len(lam), 0, -1)])
 
 
 def random_c_pattern(rng, C, width=4):
@@ -70,8 +79,7 @@ def commutator_sweep():
     for lam in COMMUTATOR_WEIGHTS:
         n = len(lam)
         C = standard_set(n, 1, "both")
-        # Highest-weight base: row k holds the first k entries of lam.
-        L = Pattern.from_rows([list(lam[:k]) for k in range(n, 0, -1)])
+        L = gt_base(lam)
         basis = enumerate_integral(C, L).points
         report = check_commutators(C, L, basis)
         results.append(
@@ -96,13 +104,26 @@ def commutator_sweep():
     return results
 
 
+def count_sweep():
+    """count_integral on C1 modules against the Weyl product formula."""
+    return [
+        {"module": f"C1 lambda={lam}",
+         "count": count_integral(standard_set(len(lam), 1, "both"), gt_base(lam)),
+         "weyl_dim": weyl_dim(lam)}
+        for lam in COUNT_WEIGHTS
+    ]
+
+
 def run_selftest(seed, count=200):
     face = face_dim_sweep(seed, count)
     comms = commutator_sweep()
-    ok = not face["failures"] and all(not r["failures"] for r in comms)
+    counts = count_sweep()
+    ok = (not face["failures"] and all(not r["failures"] for r in comms)
+          and all(r["count"] == r["weyl_dim"] for r in counts))
     return {
         "seed": seed,
         "face_dim": face,
         "commutators": comms,
+        "counts": counts,
         "ok": ok,
     }

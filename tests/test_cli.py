@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from relpoly import fileio
+from relpoly import cli, fileio
 from relpoly.cli import main
-from relpoly.patterns import Pattern
+from relpoly.patterns import Pattern, constant_pattern
 from relpoly.relations import RelationSet, standard_set
 
 FIG_ROWS = [[9, 8, 6, 5, 3], [8, 5, 5, 4], [3, 3, 0], [3, -1], [-2]]
@@ -118,6 +118,30 @@ def test_enumerate_unbounded_is_domain_error(capsys, tmp_path):
     assert json.loads(out)["error"]["code"] == "unbounded"
 
 
+def test_enumerate_n46_constant_pattern(capsys, tmp_path):
+    rel = tmp_path / "c1.rel"
+    rel.write_text(fileio.dump_relations(standard_set(46, 1, "both")))
+    pat = tmp_path / "zero.pat"
+    pat.write_text(fileio.dump_pattern(constant_pattern(46)))
+    code, out = run(capsys, "enumerate", "--relations", str(rel),
+                    "--pattern", str(pat))
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["count"] == 1
+    assert obj["points"] == [fileio.dump_pattern(constant_pattern(46)).rstrip("\n")]
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    def broken(args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "cmd_gen", broken)
+    code, out = run(capsys, "gen", "--family", "C1", "--n", "3")
+    assert code == 1
+    assert json.loads(out) == {
+        "error": {"code": "internal", "message": "KeyError: 'lost'"}}
+
+
 def test_act(capsys, tmp_path):
     rel = tmp_path / "c1.rel"
     rel.write_text(fileio.dump_relations(standard_set(2, 1, "both")))
@@ -177,5 +201,6 @@ def test_selftest_smoke(capsys):
     code, out = run(capsys, "selftest", "--seed", "0", "--count", "25")
     assert code == 0
     assert "selftest: PASS" in out
+    assert "counts C1 lambda=(6, 4, 2, 1, 0): 8400 points, Weyl dimension 8400" in out
     code2, out2 = run(capsys, "selftest", "--seed", "1", "--count", "25")
     assert code2 == 0

@@ -2,27 +2,42 @@
 
 import random
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
 
 from relpoly.errors import (
     Infeasible,
+    NonRationalWeight,
     NotSatisfying,
+    RelpolyError,
     Unbounded,
     UnboundedWeightSlice,
     WeightMismatch,
 )
 from relpoly.modaction import weyl_dim
-from relpoly.patterns import Pattern, constant_pattern, satisfies, weight_vector
+from relpoly.patterns import (
+    Entry,
+    Pattern,
+    constant_pattern,
+    row_sum,
+    satisfies,
+    weight_vector,
+)
 from relpoly.polyhedra import (
+    IntegralPointSet,
+    _certificates,
+    _relation_bounds,
     assemble,
+    count_integral,
+    count_integral_weight,
     enumerate_integral,
     enumerate_integral_weight,
     face_dim_oracle,
     is_polytope,
     system_at,
 )
-from relpoly.relations import standard_set
+from relpoly.relations import RelationSet, connected_components, standard_set
 from relpoly.selftest import random_c_pattern
 from relpoly.tiling import min_face_dims
 
@@ -222,3 +237,341 @@ def test_counts_match_weyl_dims():
     assert len(enumerate_integral(C2, gt_base((1, 0))).points) == weyl_dim((1, 0))
     assert len(enumerate_integral(C3, gt_base((1, 1, 0))).points) == \
         weyl_dim((1, 1, 0))
+
+
+def reference_enumerate_integral(C, L):
+    """Backtracking over the vertices below the top row, one at a time."""
+    if not satisfies(C, L):
+        raise NotSatisfying("base pattern does not satisfy the relation set")
+    report = is_polytope(C)
+    if not report.bounded:
+        raise Unbounded(
+            f"no finite enumeration: unbounded at {report.unbounded_coordinates}"
+        )
+    ubs, lbs = _certificates(C)
+    uppers, lowers = _relation_bounds(C)
+    order = [
+        (k, i) for k in range(C.n - 1, 0, -1) for i in range(1, k + 1)
+    ]
+    top = {(C.n, r): L[(C.n, r)] for r in range(1, C.n + 1)}
+    results = []
+
+    def offset_range(v):
+        lv_lo, lv_hi = L[v].value_bounds()
+        lo_cap, hi_cap = None, None
+        for r in ubs[v]:
+            hi = top[(C.n, r)].value_bounds()[1] - lv_lo
+            hi_cap = hi if hi_cap is None else min(hi_cap, hi)
+        for r in lbs[v]:
+            lo = top[(C.n, r)].value_bounds()[0] - lv_hi
+            lo_cap = lo if lo_cap is None else max(lo_cap, lo)
+        return ceil(lo_cap), floor(hi_cap)
+
+    def ok(v, entry, assigned):
+        for u in uppers[v]:
+            other = assigned.get(u, top.get(u))
+            if other is not None:
+                d = other.diff(entry)
+                if d is None or d < 0:
+                    return False
+        for w in lowers[v]:
+            other = assigned.get(w, top.get(w))
+            if other is not None:
+                d = entry.diff(other)
+                if d is None or d < 0:
+                    return False
+        return True
+
+    def backtrack(pos, assigned):
+        if pos == len(order):
+            pt = L
+            for v, e in assigned.items():
+                pt = pt.with_entry(v, e)
+            results.append(pt)
+            return
+        v = order[pos]
+        lo, hi = offset_range(v)
+        for t in range(lo, hi + 1):
+            entry = L[v].add(t)
+            if ok(v, entry, assigned):
+                assigned[v] = entry
+                backtrack(pos + 1, assigned)
+                del assigned[v]
+
+    backtrack(0, {})
+    results.sort(key=Pattern.offsets_key)
+    return IntegralPointSet(L, tuple(results))
+
+
+def reference_enumerate_integral_weight(C, L, mu):
+    """Backtracking over the vertices of each row, with the row sums pinned
+    and per-row intervals from the assigned rows."""
+    if not satisfies(C, L):
+        raise NotSatisfying("base pattern does not satisfy the relation set")
+    mu = tuple(Fraction(x) for x in mu)
+    if len(mu) != C.n:
+        raise WeightMismatch(f"mu must have length {C.n}")
+    if sum(mu) != row_sum(L, C.n):
+        raise WeightMismatch("sum of mu must equal the top-row sum")
+    for k in range(1, C.n):
+        for e in L.row(k):
+            if not e.is_rational:
+                raise NonRationalWeight("weight slice needs rational lower rows")
+    uppers, lowers = _relation_bounds(C)
+    partial = {(C.n, r): L[(C.n, r)] for r in range(1, C.n + 1)}
+    results = []
+
+    def row_intervals(k, assigned):
+        target = sum(mu[:k])
+        los, his = {}, {}
+        for i in range(1, k + 1):
+            v = (k, i)
+            lo, hi = None, None
+            for u in uppers[v]:
+                if u in assigned and assigned[u].is_rational:
+                    val = assigned[u].offset
+                    hi = val if hi is None else min(hi, val)
+            for w in lowers[v]:
+                if w in assigned and assigned[w].is_rational:
+                    val = assigned[w].offset
+                    lo = val if lo is None else max(lo, val)
+            los[v], his[v] = lo, hi
+        for _ in range(k + 1):
+            changed = False
+            for i in range(1, k + 1):
+                v = (k, i)
+                others_lo = [los[(k, j)] for j in range(1, k + 1) if j != i]
+                others_hi = [his[(k, j)] for j in range(1, k + 1) if j != i]
+                if all(x is not None for x in others_lo):
+                    cap = target - sum(others_lo)
+                    if his[v] is None or cap < his[v]:
+                        his[v] = cap
+                        changed = True
+                if all(x is not None for x in others_hi):
+                    cap = target - sum(others_hi)
+                    if los[v] is None or cap > los[v]:
+                        los[v] = cap
+                        changed = True
+            if not changed:
+                break
+        for i in range(1, k + 1):
+            v = (k, i)
+            if los[v] is None or his[v] is None:
+                raise UnboundedWeightSlice(
+                    f"no finite search interval for coordinate {v}"
+                )
+        return target, los, his
+
+    def ok(v, entry, assigned):
+        for u in uppers[v]:
+            if u in assigned:
+                d = assigned[u].diff(entry)
+                if d is None or d < 0:
+                    return False
+        for w in lowers[v]:
+            if w in assigned:
+                d = entry.diff(assigned[w])
+                if d is None or d < 0:
+                    return False
+        return True
+
+    def fill_row(k, assigned):
+        if k == 0:
+            pt = L
+            for v, e in assigned.items():
+                pt = pt.with_entry(v, e)
+            results.append(pt)
+            return
+        target, los, his = row_intervals(k, assigned)
+
+        def entry_for(i, value):
+            base = L[(k, i)].offset
+            t = value - base
+            if t.denominator != 1:
+                return None
+            return Entry.rational(value)
+
+        def assign(i, remaining):
+            v = (k, i)
+            if i == k:
+                entry = entry_for(i, remaining)
+                if (
+                    entry is not None
+                    and los[v] <= remaining <= his[v]
+                    and ok(v, entry, assigned)
+                ):
+                    assigned[v] = entry
+                    fill_row(k - 1, assigned)
+                    del assigned[v]
+                return
+            base = L[v].offset
+            lo_t = ceil(los[v] - base)
+            hi_t = floor(his[v] - base)
+            for t in range(lo_t, hi_t + 1):
+                value = base + t
+                entry = Entry.rational(value)
+                if ok(v, entry, assigned):
+                    assigned[v] = entry
+                    assign(i + 1, remaining - value)
+                    del assigned[v]
+
+        assign(1, target)
+
+    fill_row(C.n - 1, dict(partial))
+    results.sort(key=Pattern.offsets_key)
+    return IntegralPointSet(L, tuple(results))
+
+
+def random_arcs_set(rng, n):
+    """Random plus, minus and zero arcs, cyclic and non-reduced sets
+    included.  Most keep nearly all arcs of C1 "both", so that they bound
+    the enumeration; the others are mostly unbounded."""
+    arcs = []
+    if rng.random() < 0.7:
+        arcs = [a for a in standard_set(n, 1, "both") if rng.random() < 0.95]
+    for _ in range(rng.randint(0, n)):
+        kind = rng.choice(("plus", "minus", "zero"))
+        if kind == "plus":
+            k = rng.randint(2, n)
+            arcs.append(((k, rng.randint(1, k)), (k - 1, rng.randint(1, k - 1))))
+        elif kind == "minus":
+            k = rng.randint(1, n - 1)
+            arcs.append(((k, rng.randint(1, k)), (k + 1, rng.randint(1, k + 1))))
+        else:
+            i, j = rng.sample(range(1, n + 1), 2)
+            arcs.append(((n, i), (n, j)))
+    return RelationSet(n, arcs)
+
+
+def random_base(rng, C, width):
+    """A pattern satisfying C.  Each component now and then gets a common
+    fractional part or a sqrt label, and one entry in ten bases is moved by
+    a third, which usually breaks satisfies."""
+    X = random_c_pattern(rng, C, width)
+    entry = {(k, i): X[(k, i)] for k in range(1, C.n + 1) for i in range(1, k + 1)}
+    for block in connected_components(C):
+        roll = rng.random()
+        if roll < 0.2:
+            q = Fraction(rng.randint(1, 6), rng.randint(2, 7))
+            for v in block:
+                entry[v] = entry[v].add(q)
+        elif roll < 0.3:
+            m = rng.choice((2, 3))
+            for v in block:
+                entry[v] = Entry.sqrt(m, entry[v].offset)
+    if rng.random() < 0.1:
+        v = rng.choice(sorted(entry))
+        entry[v] = entry[v].add(Fraction(1, 3))
+    return Pattern.from_rows(
+        [[entry[(k, i)] for i in range(1, k + 1)] for k in range(C.n, 0, -1)]
+    )
+
+
+def random_weight(rng, L):
+    """The weight of L's row offsets, often moved by a unit between two
+    coordinates; now and then of the wrong total or length."""
+    sums = [sum(e.offset for e in L.row(k)) for k in range(1, L.n + 1)]
+    mu = [sums[0]] + [sums[k] - sums[k - 1] for k in range(1, L.n)]
+    if L.n > 1 and rng.random() < 0.6:
+        i, j = rng.sample(range(L.n), 2)
+        mu[i] += 1
+        mu[j] -= 1
+    roll = rng.random()
+    if roll < 0.05:
+        mu[0] += 1
+    elif roll < 0.1:
+        mu = mu[:-1]
+    return mu
+
+
+def random_case(rng):
+    """A relation set and a base: random arcs, or a standard family."""
+    n = rng.randint(2, 5)
+    width = 2 if n == 5 else 3
+    if rng.random() < 0.7:
+        C = random_arcs_set(rng, n)
+    else:
+        C = standard_set(n, rng.randint(1, n), rng.choice(("plus", "minus", "both", "empty")))
+    return C, random_base(rng, C, width)
+
+
+def outcome(enumerate_fn, *args):
+    try:
+        return [str(P) for P in enumerate_fn(*args).points]
+    except RelpolyError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_enumerate_integral_matches_reference():
+    rng = random.Random(4046)
+    kinds = {"points": 0, "raised": 0}
+    for _ in range(300):
+        C, L = random_case(rng)
+        got = outcome(enumerate_integral, C, L)
+        assert got == outcome(reference_enumerate_integral, C, L), (C, str(L))
+        kinds["raised" if isinstance(got, tuple) else "points"] += 1
+        if isinstance(got, list):
+            assert count_integral(C, L) == len(got)
+    assert min(kinds.values()) >= 30, kinds
+
+
+def test_enumerate_integral_weight_matches_reference():
+    rng = random.Random(4047)
+    kinds = {"points": 0, "raised": 0}
+    for _ in range(300):
+        C, L = random_case(rng)
+        mu = random_weight(rng, L)
+        got = outcome(enumerate_integral_weight, C, L, mu)
+        assert got == outcome(reference_enumerate_integral_weight, C, L, mu), \
+            (C, str(L), mu)
+        kinds["raised" if isinstance(got, tuple) else "points"] += 1
+        if isinstance(got, list):
+            assert count_integral_weight(C, L, mu) == len(got)
+    assert min(kinds.values()) >= 30, kinds
+
+
+LADDER = ((1, 0), (2, 1, 0), (1, 1, 0), (2, 1, 1, 0), (3, 2, 1, 0),
+          (4, 3, 2, 1, 0), (6, 4, 2, 1, 0))
+
+
+@pytest.mark.parametrize("lam", LADDER)
+def test_count_integral_matches_enumeration(lam):
+    C = standard_set(len(lam), 1, "both")
+    L = gt_base(lam)
+    points = enumerate_integral(C, L).points
+    assert count_integral(C, L) == len(points) == weyl_dim(lam)
+    for P in points[::max(1, len(points) // 12)]:
+        mu = weight_vector(P)
+        assert count_integral_weight(C, L, mu) == \
+            len(enumerate_integral_weight(C, L, mu).points)
+
+
+def test_count_integral_weight_slices_sum_to_dimension():
+    C = standard_set(3, 1, "both")
+    L = gt_base((2, 1, 0))
+    weights = {weight_vector(P) for P in enumerate_integral(C, L).points}
+    assert sum(count_integral_weight(C, L, mu) for mu in weights) == 8
+    assert count_integral_weight(C, L, [1, 1, 1]) == 2
+
+
+def test_count_integral_beyond_enumeration():
+    lam = (10, 8, 6, 4, 2, 0)
+    assert count_integral(standard_set(6, 1, "both"), gt_base(lam)) == \
+        weyl_dim(lam) == 14348907
+
+
+def test_count_integral_errors():
+    with pytest.raises(Unbounded):
+        count_integral(standard_set(3, 1, "plus"), gt_base((2, 1, 0)))
+    with pytest.raises(UnboundedWeightSlice):
+        count_integral_weight(standard_set(4, 3, "both"), gt_base((2, 1, 0, 0)),
+                              [1, 1, 1, 0])
+
+
+def test_enumerate_integral_n46_constant_pattern():
+    # The rows are walked without recursion, so the depth does not grow
+    # with the n(n-1)/2 vertices below the top row.
+    C = standard_set(46, 1, "both")
+    X = constant_pattern(46)
+    assert [str(P) for P in enumerate_integral(C, X).points] == [str(X)]
+    assert count_integral(C, X) == 1
