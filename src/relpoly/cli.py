@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import fileio
 from .errors import ParseError, RelpolyError
-from .modaction import RAISE, LOWER, CARTAN, act_in_basis
+from .modaction import RAISE, LOWER, CARTAN, act_in_basis, check_commutators
 from .patterns import weight_vector
 from .polyhedra import (
     enumerate_integral,
@@ -192,8 +192,6 @@ def cmd_act(args):
 
 
 def cmd_commutators(args):
-    from .modaction import check_commutators
-
     C = _load_relations(args.relations)
     L = _load_pattern(args.pattern)
     basis = enumerate_integral(C, L).points

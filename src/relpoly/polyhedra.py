@@ -30,7 +30,7 @@ from .patterns import (
     satisfies,
     weight_vector,
 )
-from .relations import _reach_sets, support, vertices
+from .relations import support, vertices
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def system_at(C, X, which, plus=False):
 
 def _certificates(C):
     """Per vertex: top-row columns bounding it from above and from below."""
-    reach = _reach_sets(C)
+    reach = C.reach
     ubs, lbs = {}, {}
     for v in vertices(C.n):
         ubs[v] = [r for r in range(1, C.n + 1) if v in reach[(C.n, r)]]
@@ -94,7 +94,7 @@ def _certificates(C):
     return ubs, lbs
 
 
-def is_polytope(C, lam=None):
+def is_polytope(C):
     """Bounded iff every vertex below the top row has both certificates."""
     ubs, lbs = _certificates(C)
     missing = tuple(

@@ -6,16 +6,15 @@ falling into one of three classes: "plus" (target one row below), "minus"
 (target one row above) or "zero" (both endpoints in the top row).
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from .errors import InvalidRelation
 
 PLUS = "plus"
 MINUS = "minus"
 ZERO = "zero"
-
-Vertex = tuple  # (row, col)
 
 
 def vertices(n):
@@ -62,6 +61,29 @@ class RelationSet:
     def __len__(self):
         return len(self.relations)
 
+    @cached_property
+    def reach(self):
+        """Directed reachability closure, computed once on first use: vertex ->
+        frozenset of the vertices it reaches by a path, itself included."""
+        succ = {v: [] for v in vertices(self.n)}
+        for src, dst in self.relations:
+            succ[src].append(dst)
+        return {v: frozenset(_reachable(succ, v)) for v in vertices(self.n)}
+
+
+def _reachable(succ, start, skip=None):
+    """Vertices reachable from start along the successor lists succ, start
+    included, by paths that do not use the arc (start, skip)."""
+    stack = [w for w in succ[start] if w != skip]
+    seen = {start, *stack}
+    while stack:
+        v = stack.pop()
+        for w in succ[v]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
 
 def standard_set(n, k, variant):
     """The standard one-parameter families of relation sets.
@@ -91,35 +113,9 @@ def support(C):
     return out
 
 
-@lru_cache(maxsize=None)
-def _successors(C):
-    succ = {v: [] for v in vertices(C.n)}
-    for src, dst in C:
-        succ[src].append(dst)
-    return succ
-
-
-@lru_cache(maxsize=None)
-def _reach_sets(C):
-    """Directed reachability closure: vertex -> frozenset of reachable vertices."""
-    succ = _successors(C)
-    out = {}
-    for start in vertices(C.n):
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in succ[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        out[start] = frozenset(seen)
-    return out
-
-
 def reaches(C, a, b):
     """True iff there is a directed path (possibly empty) from a to b."""
-    return b in _reach_sets(C)[a]
+    return b in C.reach[a]
 
 
 def _union_find_blocks(n, edges):
@@ -143,7 +139,6 @@ def _union_find_blocks(n, edges):
     return tuple(sorted((frozenset(b) for b in blocks.values()), key=min))
 
 
-@lru_cache(maxsize=None)
 def connected_components(C):
     """Undirected components of the relation graph, as a tuple of frozensets.
 
@@ -165,34 +160,31 @@ def is_reduced(C):
     A top-row relation is redundant if its source still reaches its target
     after removing the relation itself.
     """
-    violations = []
-    for v in sorted(support(C)):
-        k, j = v
-        outs_up = [dst for src, dst in C if src == v and dst[0] == k + 1]
-        ins_up = [src for src, dst in C if dst == v and src[0] == k + 1]
-        outs_down = [dst for src, dst in C if src == v and dst[0] == k - 1]
-        ins_down = [src for src, dst in C if dst == v and src[0] == k - 1]
-        if len(outs_up) > 1:
-            violations.append(("multiple_up_out", v))
-        if len(ins_up) > 1:
-            violations.append(("multiple_up_in", v))
-        if len(outs_down) > 1:
-            violations.append(("multiple_down_out", v))
-        if len(ins_down) > 1:
-            violations.append(("multiple_down_in", v))
+    degree = Counter()
+    succ = {v: [] for v in vertices(C.n)}
+    for src, dst in C:
+        step = dst[0] - src[0]  # +1 up, -1 down, 0 along the top row
+        degree[src, "out", step] += 1
+        degree[dst, "in", -step] += 1
+        succ[src].append(dst)
+    violations = [
+        (code, v)
+        for v in sorted(support(C))
+        for code, end, step in (("multiple_up_out", "out", 1), ("multiple_up_in", "in", 1),
+                                ("multiple_down_out", "out", -1), ("multiple_down_in", "in", -1))
+        if degree[v, end, step] > 1
+    ]
     for rel in C:
         src, dst = rel
-        if relation_class(src, dst, C.n) == ZERO:
-            rest = RelationSet(C.n, [r for r in C if r != rel])
-            if reaches(rest, src, dst):
-                violations.append(("redundant_top_relation", rel))
+        if relation_class(src, dst, C.n) == ZERO and dst in _reachable(succ, src, skip=dst):
+            violations.append(("redundant_top_relation", rel))
     return ReducedReport(not violations, tuple(violations))
 
 
 def adjoining_pairs(C):
     """Same-row pairs ((k,i);(k,j)), k != n, i < j, with (k,i) reaching (k,j)
     and no strictly intermediate same-row vertex on the reachability order."""
-    reach = _reach_sets(C)
+    reach = C.reach
     pairs = []
     for k in range(1, C.n):
         for i in range(1, k + 1):
@@ -217,23 +209,6 @@ class AdmissibilityResult:
     reason: str = None
 
 
-def _has_directed_cycle(C):
-    succ = _successors(C)
-    color = {v: 0 for v in vertices(C.n)}  # 0 new, 1 active, 2 done
-
-    def visit(v):
-        color[v] = 1
-        for w in succ[v]:
-            if color[w] == 1:
-                return True
-            if color[w] == 0 and visit(w):
-                return True
-        color[v] = 2
-        return False
-
-    return any(color[v] == 0 and visit(v) for v in vertices(C.n))
-
-
 def check_admissible(C):
     """Classify a relation set as admissible / not admissible / inapplicable.
 
@@ -247,9 +222,10 @@ def check_admissible(C):
     red = is_reduced(C)
     if not red.ok:
         return AdmissibilityResult("inapplicable", reason="not reduced")
-    if _has_directed_cycle(C):
+    reach = C.reach
+    # A cycle exists iff some arc's head reaches its tail.
+    if any(src in reach[dst] for src, dst in C):
         return AdmissibilityResult("inapplicable", reason="directed cycle")
-    reach = _reach_sets(C)
     for k in range(1, C.n + 1):
         for i in range(1, k + 1):
             for j in range(1, i):
@@ -301,7 +277,7 @@ def check_admissible(C):
 
 def is_top_connected(C):
     """Every supported vertex below the top row reaches some top-row vertex."""
-    reach = _reach_sets(C)
+    reach = C.reach
     for v in support(C):
         if v[0] == C.n:
             continue
@@ -313,7 +289,7 @@ def is_top_connected(C):
 def structural_noncritical(C):
     """Sufficient test: "yes" if every same-row pair sharing a component is
     reachability-ordered left to right (below the top row); else "unknown"."""
-    reach = _reach_sets(C)
+    reach = C.reach
     for block in connected_components(C):
         for k in range(1, C.n):
             row = sorted(v[1] for v in block if v[0] == k)

@@ -131,6 +131,35 @@ def test_enumerate_n46_constant_pattern(capsys, tmp_path):
     assert obj["points"] == [fileio.dump_pattern(constant_pattern(46)).rstrip("\n")]
 
 
+def snake_path(n):
+    """A reduced relation set on n (even) rows that is one directed path of
+    n(n+1)/2 - n/2 vertices, every arc pointing from (1,1) toward (n,1).
+
+    Rows are paired top-down, (n, n-1), (n-2, n-3), ...; within a pair the
+    path zigzags between the two rows through the columns, sweeping the
+    pairs left to right and right to left in turn, and leaves out the last
+    vertex of each pair so that the step to the next pair is adjacent."""
+    path = []
+    for p, top in enumerate(range(n, 0, -2)):
+        zigzag = [v for j in range(1, top) for v in ((top, j), (top - 1, j))]
+        if p % 2:
+            zigzag = [(k, k + 1 - j) for k, j in zigzag]
+        path += zigzag
+    return RelationSet(n, list(zip(path[1:], path)))
+
+
+def test_check_deep_path(capsys, tmp_path):
+    C = snake_path(46)
+    assert len(C) == 1057
+    rel = tmp_path / "path.rel"
+    rel.write_text(fileio.dump_relations(C))
+    code, out = run(capsys, "check", "--relations", str(rel))
+    assert code == 0
+    assert json.loads(out) == {
+        "reduced": True, "admissible": "Inapplicable", "top_connected": True,
+        "reason": "same-row reachability (5,2) to (5,1) with 2 > 1"}
+
+
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     def broken(args):
         raise KeyError("lost")

@@ -1,11 +1,18 @@
 """Structural checks on relation sets: families, reachability, admissibility."""
 
+import gc
 import random
+import weakref
+from collections import Counter
 
 import pytest
 
 from relpoly.errors import InvalidRelation
+from relpoly.patterns import constant_pattern
+from relpoly.polyhedra import enumerate_integral
 from relpoly.relations import (
+    ZERO,
+    ReducedReport,
     RelationSet,
     adjoining_pairs,
     check_admissible,
@@ -199,3 +206,154 @@ def test_structural_noncritical():
     assert structural_noncritical(standard_set(3, 3, "both")) == "yes"
     unknown = RelationSet(3, [((2, 1), (1, 1)), ((2, 2), (1, 1))])
     assert structural_noncritical(unknown) == "unknown"
+
+
+def test_closure_is_freed_with_its_set():
+    # No other test builds a set of this size, so a process-wide cache that
+    # already held an equal set could not hide a reference kept to this one.
+    C = standard_set(13, 1, "both")
+    assert check_admissible(C).status == "admissible"
+    assert is_reduced(C).ok
+    assert len(connected_components(C)) == 1
+    assert len(enumerate_integral(C, constant_pattern(13)).points) == 1
+    ref = weakref.ref(C)
+    del C
+    gc.collect()
+    assert ref() is None
+
+
+# Reference implementations for the sweep below: reachability by a fixpoint
+# over the arcs, the per-vertex scans of is_reduced with a rebuilt set per top
+# arc, and a recursive cycle search.
+
+def ref_reach(C):
+    reach = {v: {v} for v in vertices(C.n)}
+    changed = True
+    while changed:
+        changed = False
+        for src, dst in C:
+            if not reach[dst] <= reach[src]:
+                reach[src] |= reach[dst]
+                changed = True
+    return reach
+
+
+def ref_is_reduced(C):
+    violations = []
+    for v in sorted(support(C)):
+        k, j = v
+        outs_up = [dst for src, dst in C if src == v and dst[0] == k + 1]
+        ins_up = [src for src, dst in C if dst == v and src[0] == k + 1]
+        outs_down = [dst for src, dst in C if src == v and dst[0] == k - 1]
+        ins_down = [src for src, dst in C if dst == v and src[0] == k - 1]
+        if len(outs_up) > 1:
+            violations.append(("multiple_up_out", v))
+        if len(ins_up) > 1:
+            violations.append(("multiple_up_in", v))
+        if len(outs_down) > 1:
+            violations.append(("multiple_down_out", v))
+        if len(ins_down) > 1:
+            violations.append(("multiple_down_in", v))
+    for rel in C:
+        src, dst = rel
+        if relation_class(src, dst, C.n) == ZERO:
+            rest = RelationSet(C.n, [r for r in C if r != rel])
+            if dst in ref_reach(rest)[src]:
+                violations.append(("redundant_top_relation", rel))
+    return tuple(violations)
+
+
+def ref_has_directed_cycle(C):
+    succ = {v: [] for v in vertices(C.n)}
+    for src, dst in C:
+        succ[src].append(dst)
+    color = {v: 0 for v in vertices(C.n)}  # 0 new, 1 active, 2 done
+
+    def visit(v):
+        color[v] = 1
+        for w in succ[v]:
+            if color[w] == 1:
+                return True
+            if color[w] == 0 and visit(w):
+                return True
+        color[v] = 2
+        return False
+
+    return any(color[v] == 0 and visit(v) for v in vertices(C.n))
+
+
+def ref_components(C):
+    both_ways = RelationSet(C.n, [*C, *((dst, src) for src, dst in C)])
+    return tuple(sorted({frozenset(r) for r in ref_reach(both_ways).values()}, key=min))
+
+
+def ref_adjoining_pairs(C, reach):
+    return [((k, i), (k, j))
+            for k in range(1, C.n) for i in range(1, k + 1) for j in range(i + 1, k + 1)
+            if (k, j) in reach[k, i]
+            and not any((k, t) in reach[k, i] and (k, j) in reach[k, t]
+                        for t in range(1, k + 1) if t not in (i, j))]
+
+
+def ref_structural_noncritical(C, reach):
+    for block in ref_components(C):
+        for k in range(1, C.n):
+            row = sorted(v[1] for v in block if v[0] == k)
+            if any((k, b) not in reach[k, a] for a in row for b in row if a < b):
+                return "unknown"
+    return "yes"
+
+
+def random_relation_set(rng):
+    """Plus, minus and zero arcs on 2 to 7 rows, mostly between interlacing
+    neighbours, with V-shaped arc pairs that make adjoining pairs; sets with
+    several arcs per direction, redundant top arcs and cycles all occur."""
+    n = rng.randint(2, 7)
+    arcs = []
+    for _ in range(rng.randint(0, 2 * n)):
+        k = rng.randint(1, n)
+        i = rng.randint(1, k)
+        pick = rng.random()
+        if pick < 0.15:
+            i, j = rng.sample(range(1, n + 1), 2)
+            arcs.append(((n, i), (n, j)))
+        elif pick < 0.35 and i < k:
+            j, q = rng.randint(i + 1, k), rng.randint(1, k - 1)
+            arcs += [((k, i), (k - 1, q)), ((k - 1, q), (k, j))]
+            if k == n and rng.random() < 0.5:
+                arcs.append(((k, i), (k, j)))
+        else:
+            step = rng.choice((-1, 1))
+            if not 1 <= k + step <= n:
+                continue
+            near = (max(1, i - 1), min(i, k - 1)) if step < 0 else (i, i + 1)
+            j = rng.randint(*near) if rng.random() < 0.8 else rng.randint(1, k + step)
+            arcs.append(((k, i), (k + step, j)))
+    return RelationSet(n, arcs)
+
+
+def test_structural_checks_match_references():
+    rng = random.Random(3)
+    statuses, reasons = Counter(), Counter()
+    for _ in range(800):
+        C = random_relation_set(rng)
+        reach = ref_reach(C)
+        assert C.reach == reach, C
+        violations = ref_is_reduced(C)
+        assert is_reduced(C) == ReducedReport(not violations, violations), C
+        result = check_admissible(C)
+        statuses[result.status] += 1
+        reasons[result.reason] += 1
+        if violations:
+            assert result.reason == "not reduced", C
+        elif ref_has_directed_cycle(C):
+            assert result.reason == "directed cycle", C
+        else:
+            assert result.reason not in ("not reduced", "directed cycle"), C
+        assert adjoining_pairs(C) == ref_adjoining_pairs(C, reach), C
+        assert is_top_connected(C) == all(
+            v[0] == C.n or any(w[0] == C.n for w in reach[v]) for v in support(C)), C
+        assert connected_components(C) == ref_components(C), C
+        assert structural_noncritical(C) == ref_structural_noncritical(C, reach), C
+    assert min(statuses[s] for s in ("admissible", "not_admissible", "inapplicable")) >= 30
+    assert reasons["not reduced"] >= 30 and reasons["directed cycle"] >= 30
