@@ -9,7 +9,7 @@ probing non-admissible sets.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from .errors import (
     CriticalDenominator,
@@ -32,7 +32,9 @@ class LinComb:
     def build(cls, items):
         acc = {}
         for pattern, coeff in items:
-            c = acc.get(pattern, Fraction(0)) + Fraction(coeff)
+            c = Fraction(coeff)
+            if pattern in acc:
+                c += acc[pattern]
             if c:
                 acc[pattern] = c
             elif pattern in acc:
@@ -73,13 +75,19 @@ def _require_rational_rows(M, rows):
                 )
 
 
-def _row_denominator(M, k, i):
-    den = Fraction(1)
-    mki = M[(k, i)].offset
+def _row_offsets(M, k):
+    """Offsets of row k, each as an int where it is integral, so that the
+    products of the action formulas stay in int arithmetic."""
+    return [e.offset.numerator if e.offset.denominator == 1 else e.offset
+            for e in M.row(k)]
+
+
+def _row_denominator(k, m, i):
+    den = 1
     for j in range(1, k + 1):
         if j == i:
             continue
-        f = mki - M[(k, j)].offset + j - i
+        f = m[i - 1] - m[j - 1] + j - i
         if f == 0:
             raise CriticalDenominator(k, i, j)
         den *= f
@@ -91,15 +99,13 @@ def act_raise(k, M):
     if not 1 <= k <= M.n - 1:
         raise ValueError(f"raise index {k} out of range 1..{M.n - 1}")
     _require_rational_rows(M, (k, k + 1))
+    m, above = _row_offsets(M, k), _row_offsets(M, k + 1)
     items = []
     for i in range(1, k + 1):
-        mki = M[(k, i)].offset
-        num = prod(
-            mki - M[(k + 1, j)].offset + j - i for j in range(1, k + 2)
-        )
-        coeff = -Fraction(num) / _row_denominator(M, k, i)
-        if coeff:
-            items.append((M.shifted(k, i, 1), coeff))
+        num = prod(m[i - 1] - above[j - 1] + j - i for j in range(1, k + 2))
+        den = _row_denominator(k, m, i)
+        if num:
+            items.append((M.shifted(k, i, 1), Fraction(-num, den)))
     return LinComb.build(items)
 
 
@@ -108,15 +114,13 @@ def act_lower(k, M):
     if not 1 <= k <= M.n - 1:
         raise ValueError(f"lower index {k} out of range 1..{M.n - 1}")
     _require_rational_rows(M, (k - 1, k))
+    m, below = _row_offsets(M, k), _row_offsets(M, k - 1)
     items = []
     for i in range(1, k + 1):
-        mki = M[(k, i)].offset
-        num = prod(
-            mki - M[(k - 1, j)].offset + j - i for j in range(1, k)
-        )
-        coeff = Fraction(num) / _row_denominator(M, k, i)
-        if coeff:
-            items.append((M.shifted(k, i, -1), coeff))
+        num = prod(m[i - 1] - below[j - 1] + j - i for j in range(1, k))
+        den = _row_denominator(k, m, i)
+        if num:
+            items.append((M.shifted(k, i, -1), Fraction(num, den)))
     return LinComb.build(items)
 
 
@@ -204,10 +208,11 @@ def check_commutators(C, L, sample):
     cartan brackets scale raise/lower by the usual +/-1 pattern; mixed and
     distant same-type brackets vanish.
 
-    Vectors are dicts from basis positions to coefficients.  Tableaux get a
-    position the first time they are met (None outside the basis), and the
-    column of a generator at a position is built the first time a bracket
-    needs it, so a sample without a finite basis is fine.
+    Vectors are pairs (den, {basis position: int numerator}) standing for
+    the coefficients num/den, so the brackets run in int arithmetic.
+    Tableaux get a position the first time they are met (None outside the
+    basis), and the column of a generator at a position is built the first
+    time a bracket needs it, so a sample without a finite basis is fine.
     """
     n = L.n
     failures = []
@@ -227,68 +232,88 @@ def check_commutators(C, L, sample):
             index[P] = pos
             return pos
 
+    def column(gen, j):
+        try:
+            return columns[gen, j]
+        except KeyError:
+            kept = _in_basis_terms(gen, patterns[j], locate)[0]
+            den = lcm(*(c.denominator for c in kept.values()))
+            col = columns[gen, j] = (
+                den, {t: c.numerator * (den // c.denominator) for t, c in kept.items()})
+            return col
+
     def apply(gen, vec):
         # vec is a sample vector or a multiple of one column, whose keys are in
         # term order, so columns are built in the order act_in_basis acts on
         # the terms, and the first error raised is the one it would raise.
+        den, nums = vec
+        if den == 1 and len(nums) == 1:
+            (j, c), = nums.items()
+            if c == 1:
+                return column(gen, j)
+        cols = [(c, column(gen, j)) for j, c in nums.items()]
+        common = lcm(*(d for _, (d, _) in cols))
         acc = {}
-        for j, c in vec.items():
-            if (gen, j) not in columns:
-                columns[gen, j] = _in_basis_terms(gen, patterns[j], locate)[0]
-            for t, a in columns[gen, j].items():
+        for c, (d, col) in cols:
+            c *= common // d
+            for t, a in col.items():
                 if t in acc:
                     acc[t] += a * c
                 else:
                     acc[t] = a * c
-        return _nonzero(acc)
+        return den * common, _nonzero(acc)
 
     def minus(a, b, scale=1):
-        acc = dict(a)
-        for j, c in b.items():
+        (da, na), (db, nb) = a, b
+        den = lcm(da, db)
+        fa, fb = den // da, scale * (den // db)
+        acc = {j: c * fa for j, c in na.items()}
+        for j, c in nb.items():
             if j in acc:
-                acc[j] -= scale * c
+                acc[j] -= c * fb
             else:
-                acc[j] = -scale * c
-        return _nonzero(acc)
+                acc[j] = -c * fb
+        return den, _nonzero(acc)
 
     def bracket(g1, g2, vec):
         return minus(apply(g1, apply(g2, vec)), apply(g2, apply(g1, vec)))
 
     def residual(vec):
-        return str(LinComb.build((patterns[j], c) for j, c in vec.items()))
+        den, nums = vec
+        return str(LinComb.build((patterns[j], Fraction(c, den)) for j, c in nums.items()))
 
     for M in sample:
         pos = locate(M)
         if pos is None:
             raise NotSatisfying("input term outside the basis")
-        v = {pos: Fraction(1)}
+        v = (1, {pos: 1})
         checked += 1
         for k in range(1, n):
             lhs = bracket((RAISE, k), (LOWER, k), v)
             res = minus(lhs, minus(apply((CARTAN, k), v), apply((CARTAN, k + 1), v)))
-            if res:
+            if res[1]:
                 failures.append((f"[raise{k},lower{k}]", M, residual(res)))
         for j in range(1, n + 1):
             for k in range(1, n):
                 want = (1 if j == k else 0) - (1 if j == k + 1 else 0)
                 lhs = bracket((CARTAN, j), (RAISE, k), v)
                 res = minus(lhs, apply((RAISE, k), v), want)
-                if res:
+                if res[1]:
                     failures.append((f"[cartan{j},raise{k}]", M, residual(res)))
                 lhs = bracket((CARTAN, j), (LOWER, k), v)
                 res = minus(lhs, apply((LOWER, k), v), -want)
-                if res:
+                if res[1]:
                     failures.append((f"[cartan{j},lower{k}]", M, residual(res)))
         for k in range(1, n):
             for l in range(1, n):
                 if abs(k - l) >= 2:
                     for kind in (RAISE, LOWER):
                         res = bracket((kind, k), (kind, l), v)
-                        if res:
+                        if res[1]:
                             failures.append((f"[{kind}{k},{kind}{l}]", M, residual(res)))
                 if k != l:
                     res = bracket((RAISE, k), (LOWER, l), v)
-                    if res:
+                    if res[1]:
                         failures.append((f"[raise{k},lower{l}]", M, residual(res)))
     return CommutatorReport(checked, tuple(failures))
 

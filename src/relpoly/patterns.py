@@ -142,6 +142,22 @@ class Pattern:
             raise ValueError("wrong number of entries")
         object.__setattr__(self, "entries", tuple(map(Entry.rational, self.entries)))
 
+    def __hash__(self):
+        # Computed on first use, not in __post_init__: most enumerated points
+        # are never hashed, and hashing every entry of every point would slow
+        # enumeration down.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.n, self.entries))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self):
+        # Leave the cached hash behind: str hashes, and so those of labeled
+        # entries, differ from one process to the next.
+        return {"n": self.n, "entries": self.entries}
+
     @classmethod
     def from_rows(cls, rows):
         """Build from rows listed top row (length n) first."""

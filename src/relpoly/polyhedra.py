@@ -94,12 +94,16 @@ def _certificates(C):
     return ubs, lbs
 
 
-def is_polytope(C):
-    """Bounded iff every vertex below the top row has both certificates."""
-    ubs, lbs = _certificates(C)
-    missing = tuple(
+def _uncertified(C, ubs, lbs):
+    """Vertices below the top row that lack a certificate."""
+    return tuple(
         v for v in vertices(C.n) if v[0] < C.n and (not ubs[v] or not lbs[v])
     )
+
+
+def is_polytope(C):
+    """Bounded iff every vertex below the top row has both certificates."""
+    missing = _uncertified(C, *_certificates(C))
     return BoundednessReport(not missing, missing)
 
 
@@ -215,12 +219,10 @@ def _integral_rows(C, L):
     top-row columns that certify its bounds."""
     if not satisfies(C, L):
         raise NotSatisfying("base pattern does not satisfy the relation set")
-    report = is_polytope(C)
-    if not report.bounded:
-        raise Unbounded(
-            f"no finite enumeration: unbounded at {report.unbounded_coordinates}"
-        )
     ubs, lbs = _certificates(C)
+    missing = _uncertified(C, ubs, lbs)
+    if missing:
+        raise Unbounded(f"no finite enumeration: unbounded at {missing}")
     top = L.row(C.n)
     cands = {}
     for v in vertices(C.n - 1):

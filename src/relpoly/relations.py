@@ -240,15 +240,15 @@ def check_admissible(C):
         if abs(src[0] - dst[0]) == 1:
             low, high = (src, dst) if src[0] < dst[0] else (dst, src)
             arcs.add((low, high))
-    for (k_i, t_v) in arcs:
-        k, i = k_i
-        t = t_v[1]
-        for (j_v, s_v) in arcs:
-            if j_v[0] == k and s_v[0] == k + 1 and j_v[1] > i and s_v[1] < t:
-                return AdmissibilityResult(
-                    "inapplicable",
-                    reason=f"crossing arrows between rows {k} and {k + 1}",
-                )
+    between = {}  # k -> (column in row k, column in row k+1) of each arc
+    for (k, i), (_, t) in arcs:
+        between.setdefault(k, []).append((i, t))
+    for (k, i), (_, t) in arcs:
+        if any(j > i and s < t for j, s in between[k]):
+            return AdmissibilityResult(
+                "inapplicable",
+                reason=f"crossing arrows between rows {k} and {k + 1}",
+            )
     rels = set(C.relations)
     for (ki, kj) in adjoining_pairs(C):
         k, i = ki

@@ -18,7 +18,8 @@ FACE_DIM_FAMILIES = (
     ("empty", 1, "empty"),
 )
 
-COMMUTATOR_WEIGHTS = ((1, 0), (2, 0), (2, 1, 0), (1, 1, 0), (2, 1, 1, 0), (3, 2, 1, 0))
+COMMUTATOR_WEIGHTS = ((1, 0), (2, 0), (2, 1, 0), (1, 1, 0), (2, 1, 1, 0), (3, 2, 1, 0),
+                      (4, 3, 2, 1, 0))
 
 COUNT_WEIGHTS = ((3, 1, 0), (4, 2, 1, 0), (6, 4, 2, 1, 0), (5, 4, 2, 2, 1, 0),
                  (6, 5, 3, 2, 1, 0))

@@ -231,5 +231,6 @@ def test_selftest_smoke(capsys):
     assert code == 0
     assert "selftest: PASS" in out
     assert "counts C1 lambda=(6, 4, 2, 1, 0): 8400 points, Weyl dimension 8400" in out
+    assert "commutators C1 lambda=(4, 3, 2, 1, 0): 1024 vectors, 0 failures" in out
     code2, out2 = run(capsys, "selftest", "--seed", "1", "--count", "25")
     assert code2 == 0

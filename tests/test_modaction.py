@@ -29,7 +29,12 @@ from relpoly.modaction import (
 )
 from relpoly.patterns import Entry, Pattern, satisfies, weight_vector
 from relpoly.polyhedra import enumerate_integral
-from relpoly.relations import RelationSet, connected_components, standard_set
+from relpoly.relations import (
+    RelationSet,
+    check_admissible,
+    connected_components,
+    standard_set,
+)
 
 
 def rows(*data):
@@ -289,6 +294,21 @@ def test_check_commutators_matches_reference():
         kind = "raised" if isinstance(got[0], str) else "failures" if got[1] else "ok"
         kinds[kind] += 1
     assert min(kinds.values()) >= 30, kinds
+
+
+def test_check_commutators_fractional_failure_matches_reference():
+    # Not admissible: (2,1) -> (1,1) -> (2,2) forces l_21 >= l_22 with no
+    # diamond through row 3.  On a base with fractional part 5/6 the
+    # coefficients keep denominators, and so does the residual.
+    C = RelationSet(3, [((2, 1), (1, 1)), ((1, 1), (2, 2))])
+    assert check_admissible(C).status == "not_admissible"
+    q = Fraction(5, 6)
+    L = rows((0, 2, 3), (q, q), (q,))
+    sample = [L, L.shifted(2, 1, 1)]
+    got = commutator_outcome(check_commutators, C, L, sample)
+    assert got == commutator_outcome(reference_check_commutators, C, L, sample)
+    assert got == (2, [("[raise2,lower2]", "0 2 3 | 5/6 5/6 | 5/6",
+                        "(-49/216)*[0 2 3 | 5/6 5/6 | 5/6]")])
 
 
 def test_cartan_eigenbasis():

@@ -1,5 +1,6 @@
 """Entries, patterns, pointwise predicates, and weight functionals."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from relpoly.patterns import (
     weight,
     weight_vector,
 )
+from relpoly.polyhedra import enumerate_integral
 from relpoly.relations import RelationSet, standard_set
 
 EX_C = RelationSet(4, [((2, 1), (1, 1)), ((2, 1), (3, 2)),
@@ -99,6 +101,34 @@ def test_pattern_shift():
     Y = X.shifted(1, 1, 1)
     assert Y[(1, 1)] == Entry.rational(1)
     assert Y != X and X.shifted(1, 1, 0) == X
+
+
+def test_pattern_hash_follows_equality():
+    X = Pattern.from_rows([[2, 1, 0], [1, 0], [0]])
+    assert hash(X) == hash(Pattern.from_rows([[Fraction(2), 1, 0], [1, 0], [0]]))
+    assert hash(X.shifted(1, 1, 1).shifted(1, 1, -1)) == hash(X)
+    assert hash(X.shifted(1, 1, 1)) != hash(X)
+    # Entry equality ignores the enclosure, so the hash must too.
+    wide, tight = Entry.labeled("sqrt2", 1, 2), Entry.sqrt(2)
+    assert wide.lo != tight.lo
+    A = Pattern.from_rows([[wide, 0], [0]])
+    B = Pattern.from_rows([[tight, 0], [0]])
+    assert A == B and hash(A) == hash(B) and {A: "a"}[B] == "a"
+    other = Pattern.from_rows([[Entry.sqrt(3), 0], [0]])
+    assert other != A and hash(other) != hash(A)
+
+
+def test_pattern_hash_is_computed_on_first_use():
+    C = standard_set(3, 1, "both")
+    points = enumerate_integral(C, Pattern.from_rows([[2, 1, 0], [2, 1], [2]])).points
+    assert len(points) == 8
+    assert not any("_hash" in vars(P) for P in points)
+    P = points[3]
+    h = hash(P)
+    assert vars(P)["_hash"] == h == hash(Pattern(P.n, P.entries))
+    assert "_hash" not in vars(points[4])
+    assert pickle.loads(pickle.dumps(P)) == P
+    assert "_hash" not in vars(pickle.loads(pickle.dumps(P)))
 
 
 def test_is_c_pattern():
