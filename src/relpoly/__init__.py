@@ -45,6 +45,7 @@ from .polyhedra import (
     enumerate_integral,
     enumerate_integral_weight,
     face_dim_oracle,
+    first_points,
     is_polytope,
     system_at,
 )

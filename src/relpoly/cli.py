@@ -1,7 +1,8 @@
 """Batch command-line front end with stable JSON/text output.
 
 Exit codes: 0 success, 1 domain errors and internal errors (structured
-error JSON on stdout), 2 I/O or parse errors.
+error JSON on stdout), 2 I/O or parse errors, and usage errors such as a
+negative --limit or --count (argparse's message on stderr).
 """
 
 import argparse
@@ -13,11 +14,7 @@ from . import fileio
 from .errors import ParseError, RelpolyError
 from .modaction import RAISE, LOWER, CARTAN, act_in_basis, check_commutators
 from .patterns import weight_vector
-from .polyhedra import (
-    enumerate_integral,
-    enumerate_integral_weight,
-    is_polytope,
-)
+from .polyhedra import enumerate_integral, first_points, is_polytope
 from .relations import check_admissible, is_reduced, is_top_connected, standard_set
 from .selftest import run_selftest
 from .tiling import (
@@ -64,6 +61,18 @@ def _csv_rationals(text):
         return [Fraction(tok) for tok in text.split(",")]
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad rational list {text!r}") from None
+
+
+def _nonnegative_int(text):
+    """argparse type of --limit and --count: a negative value is a usage
+    error, exit 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _emit(obj, fmt):
@@ -145,14 +154,11 @@ def cmd_enumerate(args):
     C = _load_relations(args.relations)
     L = _load_pattern(args.pattern)
     report = is_polytope(C)
-    if args.mu is not None:
-        points = enumerate_integral_weight(C, L, _csv_rationals(args.mu)).points
-    else:
-        points = enumerate_integral(C, L).points
-    emitted = points if args.limit is None else points[: args.limit]
+    mu = None if args.mu is None else _csv_rationals(args.mu)
+    count, points = first_points(C, L, args.limit, mu)
     out = {
-        "count": len(points),
-        "points": [fileio.dump_pattern(p).rstrip("\n") for p in emitted],
+        "count": count,
+        "points": [fileio.dump_pattern(p).rstrip("\n") for p in points],
         "bounded": report.bounded,
         "unbounded_coordinates": [list(v) for v in report.unbounded_coordinates],
     }
@@ -252,7 +258,7 @@ def build_parser():
     p.add_argument("--relations", required=True)
     p.add_argument("--pattern", required=True)
     p.add_argument("--mu")
-    p.add_argument("--limit", type=int)
+    p.add_argument("--limit", type=_nonnegative_int)
 
     p = add("act", cmd_act, help="apply a generator to a combination")
     p.add_argument("--relations", required=True)
@@ -263,11 +269,11 @@ def build_parser():
     p = add("commutators", cmd_commutators, help="bracket identity report")
     p.add_argument("--relations", required=True)
     p.add_argument("--pattern", required=True)
-    p.add_argument("--limit", type=int)
+    p.add_argument("--limit", type=_nonnegative_int)
 
     p = add("selftest", cmd_selftest, help="seeded verification sweeps")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=200)
+    p.add_argument("--count", type=_nonnegative_int, default=200)
     return parser
 
 

@@ -142,6 +142,15 @@ class Pattern:
             raise ValueError("wrong number of entries")
         object.__setattr__(self, "entries", tuple(map(Entry.rational, self.entries)))
 
+    @classmethod
+    def _from_entries(cls, n, entries):
+        """A Pattern on a tuple of n(n+1)/2 Entries, taken as it is, without
+        the length check and coercion of the public constructor."""
+        P = object.__new__(cls)
+        object.__setattr__(P, "n", n)
+        object.__setattr__(P, "entries", entries)
+        return P
+
     def __hash__(self):
         # Computed on first use, not in __post_init__: most enumerated points
         # are never hashed, and hashing every entry of every point would slow

@@ -9,8 +9,8 @@ rows.  It is the independent check for the tile-counting formulas.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import ceil, floor
+from itertools import islice, product
+from math import floor
 
 from . import linalg
 from .errors import (
@@ -118,91 +118,100 @@ def _relation_bounds(C):
 
 
 def _arcs_above(C):
-    """Per vertex (k, i) below the top row: the positions in row k+1 of the
-    entries that bound it from above, and of those that bound it from below."""
+    """Per row k >= 2, per entry i of row k-1: the positions in row k of the
+    entries with an arc to (k-1, i), and of those with an arc from it."""
     uppers, lowers = _relation_bounds(C)
     return {
-        v: ([u[1] - 1 for u in uppers[v] if u[0] == v[0] + 1],
-            [w[1] - 1 for w in lowers[v] if w[0] == v[0] + 1])
-        for v in vertices(C.n - 1)
+        k: [([u[1] - 1 for u in uppers[(k - 1, i)] if u[0] == k],
+             [w[1] - 1 for w in lowers[(k - 1, i)] if w[0] == k])
+            for i in range(1, k)]
+        for k in range(2, C.n + 1)
     }
 
 
-def _fits(entry, ups, lows):
-    """entry has no entry of ups below it and none of lows above it."""
-    for u in ups:
-        d = u.diff(entry)
-        if d is None or d < 0:
-            return False
-    for w in lows:
-        d = entry.diff(w)
-        if d is None or d < 0:
-            return False
-    return True
+def _rows_below(C, fill):
+    """The map (k, row k) -> the rows k-1 compatible with row k, in rising
+    order, memoised for one call.
 
-
-def _rows_below(C, candidates, sums=None):
-    """The map (k, row k) -> rows k-1 compatible with row k, memoised for
-    one call.  Rows are tuples of Entries.
-
-    candidates(k, row) lists, per entry of row k-1, the Entries to try
-    there in rising offset order.  No arc joins two entries of a row below
-    the top, so the compatible rows are the product of those lists, each
-    filtered by the arcs between its entry and row k.  Arcs between rows k-1
-    and k-2 are checked when row k-2 is built; arcs inside the top row are
-    the caller's to check.  With sums, row j must also sum to sums[j - 1],
-    which fixes the last entry of each row.
+    A row is the tuple of the floors of its entries' offsets.  Below the top
+    row a point differs from L by integers, and satisfies(C, L) gives the two
+    ends of each arc the same label and fractional part, so these ints fix
+    the point, and an arc holds iff the floor at its source is at least the
+    floor at its target.  No arc joins two entries of a row below the top,
+    so fill(k, los, his) makes the rows k-1 from the bounds that the arcs to
+    row k put on each entry, None where no arc bounds a side.  Arcs between
+    rows k-1 and k-2 are checked when row k-2 is built; arcs inside the top
+    row are the caller's to check.
     """
-    above = _arcs_above(C)
+    arcs = _arcs_above(C)
     memo = {}
 
     def below(k, row):
         rows = memo.get((k, row))
         if rows is None:
-            lists = []
-            for i, cands in enumerate(candidates(k, row), 1):
-                up_at, low_at = above[(k - 1, i)]
-                ups = [row[j] for j in up_at]
-                lows = [row[j] for j in low_at]
-                lists.append([e for e in cands if _fits(e, ups, lows)])
-            if sums is None:
-                rows = list(product(*lists))
-            else:
-                last = {e.offset: e for e in lists.pop()}
-                rows = []
-                for head in product(*lists):
-                    e = last.get(sums[k - 2] - sum(x.offset for x in head))
-                    if e is not None:
-                        rows.append(head + (e,))
-            memo[(k, row)] = rows
+            los, his = [], []
+            for up_at, low_at in arcs[k]:
+                his.append(min([row[j] for j in up_at], default=None))
+                los.append(max([row[j] for j in low_at], default=None))
+            rows = memo[(k, row)] = fill(k, los, his)
         return rows
 
     return below
 
 
+def _top_row(L):
+    """L's top row as a row of the row map."""
+    return tuple(floor(e.offset) for e in L.row(L.n))
+
+
 def _walk(L, below):
     """Every point, in offsets_key order: rows are chosen top-down and each
-    row's candidates rise.  Iterative, with a stack of at most n - 1 rows."""
+    row rises.  Iterative, with a stack of at most n - 1 rows.  Each Entry is
+    built once per vertex and floor, and each point once, from Entries."""
     n = L.n
     top = tuple(L.row(n))
     if n == 1:
         yield Pattern(n, top)
         return
-    stack = [(top, iter(below(n, top)))]
+    cells, made, kids = {}, {}, {}
+
+    def entries(k, row):
+        """The Entries of row k, each built once per vertex and floor."""
+        ents = made.get((k, row))
+        if ents is None:
+            out = []
+            for i, y in enumerate(row, 1):
+                e = cells.get((k, i, y))
+                if e is None:
+                    base = L[(k, i)]
+                    e = cells[(k, i, y)] = base.add(y - floor(base.offset))
+                out.append(e)
+            ents = made[(k, row)] = tuple(out)
+        return ents
+
+    def children(k, row):
+        """below(k, row), each row paired with its Entries."""
+        out = kids.get((k, row))
+        if out is None:
+            out = kids[(k, row)] = [(r, entries(k - 1, r)) for r in below(k, row)]
+        return out
+
+    stack = [(top, iter(children(n, _top_row(L))))]
     while stack:
         prefix, rows = stack[-1]
-        row = next(rows, None)
-        if row is None:
+        step = next(rows, None)
+        if step is None:
             stack.pop()
         elif len(stack) == n - 1:
-            yield Pattern(n, prefix + row)
+            yield Pattern._from_entries(n, prefix + step[1])
         else:
-            stack.append((prefix + row, iter(below(n - len(stack), row))))
+            stack.append((prefix + step[1],
+                          iter(children(n - len(stack), step[0]))))
 
 
 def _count(L, below):
     """Number of paths through the rows, counted level by level."""
-    level = {tuple(L.row(L.n)): 1}
+    level = {_top_row(L): 1}
     for k in range(L.n, 1, -1):
         ways_below = {}
         for row, ways in level.items():
@@ -215,32 +224,42 @@ def _count(L, below):
 def _integral_rows(C, L):
     """Check that C and L enumerate, and return the row map of their points.
 
-    Each vertex below the top row gets its candidates once, from the
-    top-row columns that certify its bounds."""
+    Each vertex below the top row gets its range of floors once, from the
+    top-row columns that certify its bounds: the arcs of a path keep label
+    and fractional part, so the floors along it fall too."""
     if not satisfies(C, L):
         raise NotSatisfying("base pattern does not satisfy the relation set")
     ubs, lbs = _certificates(C)
     missing = _uncertified(C, ubs, lbs)
     if missing:
         raise Unbounded(f"no finite enumeration: unbounded at {missing}")
-    top = L.row(C.n)
-    cands = {}
-    for v in vertices(C.n - 1):
-        lv_lo, lv_hi = L[v].value_bounds()
-        lo = max(top[r - 1].value_bounds()[0] for r in lbs[v]) - lv_hi
-        hi = min(top[r - 1].value_bounds()[1] for r in ubs[v]) - lv_lo
-        cands[v] = [L[v].add(t) for t in range(ceil(lo), floor(hi) + 1)]
-    rows = {k: [cands[(k - 1, i)] for i in range(1, k)] for k in range(2, C.n + 1)}
-    return _rows_below(C, lambda k, row: rows[k])
+    top = _top_row(L)
+    spans = {
+        k: [(max(top[r - 1] for r in lbs[(k - 1, i)]),
+             min(top[r - 1] for r in ubs[(k - 1, i)]))
+            for i in range(1, k)]
+        for k in range(2, C.n + 1)
+    }
+
+    def fill(k, los, his):
+        return list(product(*(
+            range(a if lo is None or lo < a else lo,
+                  (b if hi is None or hi > b else hi) + 1)
+            for (a, b), lo, hi in zip(spans[k], los, his)
+        )))
+
+    return _rows_below(C, fill)
 
 
 def _weight_rows(C, L, mu):
     """Check that C, L and mu give a weight slice, and return the row map of
     its points.
 
-    The candidates of row k-1 come from intervals: bounds from the arcs to
-    row k, tightened by the row sum until they settle.  Raises
-    UnboundedWeightSlice at the first row reached where one stays open."""
+    The floors of row m = k-1 sum to its sum in mu less the fractional parts
+    of L's row m, and a sum that is not an integer leaves no rows.  Their
+    intervals are the bounds from the arcs to row k, tightened by that sum
+    until they settle.  Raises UnboundedWeightSlice at the first row reached
+    where one stays open."""
     if not satisfies(C, L):
         raise NotSatisfying("base pattern does not satisfy the relation set")
     mu = tuple(Fraction(x) for x in mu)
@@ -252,17 +271,15 @@ def _weight_rows(C, L, mu):
         for e in L.row(k):
             if not e.is_rational:
                 raise NonRationalWeight("weight slice needs rational lower rows")
-    above = _arcs_above(C)
-    sums = [sum(mu[:k]) for k in range(1, C.n)]
+    targets = {}
+    for m in range(1, C.n):
+        target = sum(mu[:m]) - sum(e.offset - floor(e.offset) for e in L.row(m))
+        # Not an int when no row m sums to it.
+        targets[m] = target.numerator if target.denominator == 1 else target
 
-    def candidates(k, row):
+    def fill(k, los, his):
         m = k - 1
-        target = sums[m - 1]
-        los, his = [], []
-        for i in range(1, m + 1):
-            up_at, low_at = above[(m, i)]
-            his.append(min((row[j].offset for j in up_at), default=None))
-            los.append(max((row[j].offset for j in low_at), default=None))
+        target = targets[m]
         for _ in range(m + 1):
             changed = False
             for i in range(m):
@@ -280,19 +297,22 @@ def _weight_rows(C, L, mu):
                         changed = True
             if not changed:
                 break
-        out = []
-        for i in range(1, m + 1):
-            lo, hi = los[i - 1], his[i - 1]
-            if lo is None or hi is None:
+        for i in range(m):
+            if los[i] is None or his[i] is None:
                 raise UnboundedWeightSlice(
-                    f"no finite search interval for coordinate {(m, i)}"
+                    f"no finite search interval for coordinate {(m, i + 1)}"
                 )
-            base = L[(m, i)].offset
-            out.append([Entry.rational(base + t)
-                        for t in range(ceil(lo - base), floor(hi - base) + 1)])
-        return out
+        if not isinstance(target, int):
+            return []
+        lo_last, hi_last = los.pop(), his.pop()
+        rows = []
+        for head in product(*map(range, los, [hi + 1 for hi in his])):
+            y = target - sum(head)
+            if lo_last <= y <= hi_last:
+                rows.append(head + (y,))
+        return rows
 
-    return _rows_below(C, candidates, sums)
+    return _rows_below(C, fill)
 
 
 def enumerate_integral(C, L):
@@ -315,6 +335,15 @@ def count_integral_weight(C, L, mu):
     """len(enumerate_integral_weight(C, L, mu).points), without building the
     points."""
     return _count(L, _weight_rows(C, L, mu))
+
+
+def first_points(C, L, limit, mu=None):
+    """(count, points): the number of points that enumerate_integral(C, L)
+    lists, or with mu enumerate_integral_weight(C, L, mu), and the first
+    limit of them (all with limit None), in the same order.  The count and
+    the points share one row map, and no later point is built."""
+    below = _integral_rows(C, L) if mu is None else _weight_rows(C, L, mu)
+    return _count(L, below), tuple(islice(_walk(L, below), limit))
 
 
 def _equality_rows(system):

@@ -107,6 +107,46 @@ def test_enumerate(capsys, tmp_path):
     assert obj["count"] == 8 and len(obj["points"]) == 3
 
 
+@pytest.mark.parametrize("mu", [None, "2,2,2"])
+def test_enumerate_limit_is_the_full_output_sliced(capsys, tmp_path, mu):
+    rel = tmp_path / "c1.rel"
+    rel.write_text(fileio.dump_relations(standard_set(3, 1, "both")))
+    pat = tmp_path / "l.pat"
+    pat.write_text("4 2 0\n2 0\n0\n")
+    argv = ["enumerate", "--relations", str(rel), "--pattern", str(pat)]
+    if mu is not None:
+        argv += ["--mu", mu]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    full = json.loads(out)
+    assert full["count"] == len(full["points"]) == (27 if mu is None else 3)
+    for limit in (0, 1, 2, full["count"], full["count"] + 5):
+        code, out = run(capsys, *argv, "--limit", str(limit))
+        assert code == 0
+        want = dict(full, points=full["points"][:limit])
+        assert out == json.dumps(want, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--limit", "-1"],
+    ["commutators", "--limit", "-3"],
+    ["selftest", "--count", "-5"],
+], ids=["enumerate", "commutators", "selftest"])
+def test_negative_limit_is_usage_error(capsys, tmp_path, argv):
+    rel = tmp_path / "c1.rel"
+    rel.write_text(fileio.dump_relations(standard_set(3, 1, "both")))
+    pat = tmp_path / "l.pat"
+    pat.write_text("2 1 0\n1 0\n0\n")
+    if argv[0] != "selftest":
+        argv = argv + ["--relations", str(rel), "--pattern", str(pat)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[1]}: must be >= 0, got {argv[2]}" in captured.err
+
+
 def test_enumerate_unbounded_is_domain_error(capsys, tmp_path):
     rel = tmp_path / "c1p.rel"
     rel.write_text(fileio.dump_relations(standard_set(3, 1, "plus")))

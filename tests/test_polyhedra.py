@@ -1,7 +1,9 @@
 """Constraint systems, boundedness, integral-point enumeration, rank oracle."""
 
+import pickle
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import ceil, floor
 
 import pytest
@@ -34,6 +36,7 @@ from relpoly.polyhedra import (
     enumerate_integral,
     enumerate_integral_weight,
     face_dim_oracle,
+    first_points,
     is_polytope,
     system_at,
 )
@@ -497,9 +500,24 @@ def random_case(rng):
 
 def outcome(enumerate_fn, *args):
     try:
-        return [str(P) for P in enumerate_fn(*args).points]
+        return list(enumerate_fn(*args).points)
     except RelpolyError as exc:
         return type(exc).__name__, str(exc)
+
+
+def assert_same_outcome(got, want, context):
+    """The same error, or the same points: equal as text and as Patterns,
+    with equal hashes, Entry components and a working pickle round trip."""
+    assert type(got) is type(want), context
+    if isinstance(want, tuple):
+        assert got == want, context
+        return
+    assert [str(P) for P in got] == [str(Q) for Q in want], context
+    for P, Q in zip(got, want):
+        assert P == Q and hash(P) == hash(Q), context
+        assert all(type(e) is Entry for e in P.entries), context
+        R = pickle.loads(pickle.dumps(P))
+        assert R == P and hash(R) == hash(P) and str(R) == str(P), context
 
 
 def test_enumerate_integral_matches_reference():
@@ -508,10 +526,12 @@ def test_enumerate_integral_matches_reference():
     for _ in range(300):
         C, L = random_case(rng)
         got = outcome(enumerate_integral, C, L)
-        assert got == outcome(reference_enumerate_integral, C, L), (C, str(L))
+        assert_same_outcome(got, outcome(reference_enumerate_integral, C, L),
+                            (C, str(L)))
         kinds["raised" if isinstance(got, tuple) else "points"] += 1
         if isinstance(got, list):
             assert count_integral(C, L) == len(got)
+            assert first_points(C, L, 2) == (len(got), tuple(got[:2]))
     assert min(kinds.values()) >= 30, kinds
 
 
@@ -522,11 +542,13 @@ def test_enumerate_integral_weight_matches_reference():
         C, L = random_case(rng)
         mu = random_weight(rng, L)
         got = outcome(enumerate_integral_weight, C, L, mu)
-        assert got == outcome(reference_enumerate_integral_weight, C, L, mu), \
-            (C, str(L), mu)
+        assert_same_outcome(
+            got, outcome(reference_enumerate_integral_weight, C, L, mu), (C, str(L), mu)
+        )
         kinds["raised" if isinstance(got, tuple) else "points"] += 1
         if isinstance(got, list):
             assert count_integral_weight(C, L, mu) == len(got)
+            assert first_points(C, L, 2, mu) == (len(got), tuple(got[:2]))
     assert min(kinds.values()) >= 30, kinds
 
 
@@ -552,6 +574,32 @@ def test_count_integral_weight_slices_sum_to_dimension():
     weights = {weight_vector(P) for P in enumerate_integral(C, L).points}
     assert sum(count_integral_weight(C, L, mu) for mu in weights) == 8
     assert count_integral_weight(C, L, [1, 1, 1]) == 2
+
+
+def test_weight_off_the_lattice_has_no_points():
+    # Moving two coordinates of an attained weight by 1/2 keeps its total but
+    # gives a row sum that no point below the top row reaches.
+    half = Fraction(1, 2)
+    for C, L in ((standard_set(3, 1, "both"), gt_base((3, 1, 0))),
+                 (standard_set(4, 1, "both"), gt_base((3, 2, 1, 0))),
+                 (standard_set(3, 1, "both"), gt_base((half * 5, half * 3, half)))):
+        for P in enumerate_integral(C, L).points[::3]:
+            mu = list(weight_vector(P))
+            for i, j in ((0, 1), (1, C.n - 1), (C.n - 1, 0)):
+                moved = list(mu)
+                moved[i] += half
+                moved[j] -= half
+                assert enumerate_integral_weight(C, L, moved).points == ()
+                assert count_integral_weight(C, L, moved) == 0
+                assert reference_enumerate_integral_weight(C, L, moved).points == ()
+
+
+def test_kostka_numbers_are_symmetric():
+    # The weight multiplicity does not change when mu is permuted.
+    C = standard_set(5, 1, "both")
+    L = gt_base((6, 4, 2, 1, 0))
+    counts = {count_integral_weight(C, L, mu) for mu in permutations((4, 1, 3, 2, 3))}
+    assert counts == {28}
 
 
 def test_count_integral_beyond_enumeration():
