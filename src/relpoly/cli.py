@@ -14,7 +14,7 @@ from . import fileio
 from .errors import ParseError, RelpolyError
 from .modaction import RAISE, LOWER, CARTAN, act_in_basis, check_commutators
 from .patterns import weight_vector
-from .polyhedra import enumerate_integral, first_points, is_polytope
+from .polyhedra import first_points, is_polytope
 from .relations import check_admissible, is_reduced, is_top_connected, standard_set
 from .selftest import run_selftest
 from .tiling import (
@@ -200,10 +200,7 @@ def cmd_act(args):
 def cmd_commutators(args):
     C = _load_relations(args.relations)
     L = _load_pattern(args.pattern)
-    basis = enumerate_integral(C, L).points
-    if args.limit is not None:
-        basis = basis[: args.limit]
-    report = check_commutators(C, L, basis)
+    report = check_commutators(C, L, first_points(C, L, args.limit)[1])
     out = {
         "checked": report.checked,
         "failures": [[name, str(pattern), residual]

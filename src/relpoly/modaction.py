@@ -32,7 +32,7 @@ class LinComb:
     def build(cls, items):
         acc = {}
         for pattern, coeff in items:
-            c = Fraction(coeff)
+            c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
             if pattern in acc:
                 c += acc[pattern]
             if c:
@@ -75,19 +75,24 @@ def _require_rational_rows(M, rows):
                 )
 
 
-def _row_offsets(M, k):
-    """Offsets of row k, each as an int where it is integral, so that the
-    products of the action formulas stay in int arithmetic."""
-    return [e.offset.numerator if e.offset.denominator == 1 else e.offset
-            for e in M.row(k)]
+def _scaled_rows(M, k, other):
+    """Rows k and other of M as ints, scaled by the common denominator D of
+    their offsets: (D, row k, row other).  The factors of the action formulas
+    are then ints, D times their values, and each coefficient is one
+    Fraction."""
+    rows = [[e.offset for e in M.row(r)] for r in (k, other)]
+    D = lcm(*(q.denominator for row in rows for q in row))
+    m, o = ([q.numerator * (D // q.denominator) for q in row] for row in rows)
+    return D, m, o
 
 
-def _row_denominator(k, m, i):
+def _row_denominator(k, m, i, D):
+    """D**(k-1) times the product over j != i of m_i - m_j + j - i."""
     den = 1
     for j in range(1, k + 1):
         if j == i:
             continue
-        f = m[i - 1] - m[j - 1] + j - i
+        f = m[i - 1] - m[j - 1] + (j - i) * D
         if f == 0:
             raise CriticalDenominator(k, i, j)
         den *= f
@@ -99,13 +104,14 @@ def act_raise(k, M):
     if not 1 <= k <= M.n - 1:
         raise ValueError(f"raise index {k} out of range 1..{M.n - 1}")
     _require_rational_rows(M, (k, k + 1))
-    m, above = _row_offsets(M, k), _row_offsets(M, k + 1)
+    D, m, above = _scaled_rows(M, k, k + 1)
     items = []
     for i in range(1, k + 1):
-        num = prod(m[i - 1] - above[j - 1] + j - i for j in range(1, k + 2))
-        den = _row_denominator(k, m, i)
+        # k + 1 factors over k - 1: the ratio is D**2 too large.
+        num = prod(m[i - 1] - above[j - 1] + (j - i) * D for j in range(1, k + 2))
+        den = _row_denominator(k, m, i, D)
         if num:
-            items.append((M.shifted(k, i, 1), Fraction(-num, den)))
+            items.append((M.shifted(k, i, 1), Fraction(-num, den * D * D)))
     return LinComb.build(items)
 
 
@@ -114,11 +120,12 @@ def act_lower(k, M):
     if not 1 <= k <= M.n - 1:
         raise ValueError(f"lower index {k} out of range 1..{M.n - 1}")
     _require_rational_rows(M, (k - 1, k))
-    m, below = _row_offsets(M, k), _row_offsets(M, k - 1)
+    D, m, below = _scaled_rows(M, k, k - 1)
     items = []
     for i in range(1, k + 1):
-        num = prod(m[i - 1] - below[j - 1] + j - i for j in range(1, k))
-        den = _row_denominator(k, m, i)
+        # k - 1 factors over k - 1: the scales cancel.
+        num = prod(m[i - 1] - below[j - 1] + (j - i) * D for j in range(1, k))
+        den = _row_denominator(k, m, i, D)
         if num:
             items.append((M.shifted(k, i, -1), Fraction(num, den)))
     return LinComb.build(items)
@@ -213,6 +220,8 @@ def check_commutators(C, L, sample):
     Tableaux get a position the first time they are met (None outside the
     basis), and the column of a generator at a position is built the first
     time a bracket needs it, so a sample without a finite basis is fine.
+    The cartan brackets are read off the diagonal: cartan_j multiplies each
+    tableau by its weight, which its own column holds.
     """
     n = L.n
     failures = []
@@ -278,6 +287,28 @@ def check_commutators(C, L, sample):
     def bracket(g1, g2, vec):
         return minus(apply(g1, apply(g2, vec)), apply(g2, apply(g1, vec)))
 
+    def weight_at(j, t):
+        # w_j at position t, as (den, num), read off the cartan_j column.
+        den, nums = column((CARTAN, j), t)
+        if len(nums) > (t in nums):  # a key other than t
+            raise RuntimeError(
+                f"cartan{j} column at [{patterns[t]}] has a term off its diagonal")
+        return den, nums.get(t, 0)
+
+    def cartan_bracket(j, gen, pos, want):
+        # [cartan_j, gen] e_pos - want * gen e_pos.  cartan_j is diagonal, so
+        # each term t of gen e_pos is scaled by w_j(t) - w_j(pos) - want.  The
+        # columns are built in the order bracket() builds them: gen at pos,
+        # cartan_j at each term in term order, then cartan_j at pos.
+        den, col = column(gen, pos)
+        ws = [weight_at(j, t) for t in col]
+        dp, wp = weight_at(j, pos)
+        common = lcm(dp, *(d for d, _ in ws))
+        shift = wp * (common // dp) + want * common
+        acc = {t: a * (w * (common // d) - shift)
+               for (t, a), (d, w) in zip(col.items(), ws)}
+        return den * common, _nonzero(acc)
+
     def residual(vec):
         den, nums = vec
         return str(LinComb.build((patterns[j], Fraction(c, den)) for j, c in nums.items()))
@@ -296,12 +327,10 @@ def check_commutators(C, L, sample):
         for j in range(1, n + 1):
             for k in range(1, n):
                 want = (1 if j == k else 0) - (1 if j == k + 1 else 0)
-                lhs = bracket((CARTAN, j), (RAISE, k), v)
-                res = minus(lhs, apply((RAISE, k), v), want)
+                res = cartan_bracket(j, (RAISE, k), pos, want)
                 if res[1]:
                     failures.append((f"[cartan{j},raise{k}]", M, residual(res)))
-                lhs = bracket((CARTAN, j), (LOWER, k), v)
-                res = minus(lhs, apply((LOWER, k), v), -want)
+                res = cartan_bracket(j, (LOWER, k), pos, -want)
                 if res[1]:
                     failures.append((f"[cartan{j},lower{k}]", M, residual(res)))
         for k in range(1, n):

@@ -10,7 +10,7 @@ the intervals and raises when the intervals overlap.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import (
     IncomparableEntries,
@@ -46,6 +46,22 @@ class Entry:
             object.__setattr__(self, "hi", _frac(self.hi))
             if self.lo > self.hi:
                 raise ValueError("empty enclosure interval")
+
+    def __hash__(self):
+        # The dataclass hash of (offset, label), computed on first use and
+        # kept: Fraction hashes are costly, and a tableau step rehashes every
+        # entry of the new tableau but changes only one of them.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.offset, self.label))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self):
+        # Leave the cached hash behind: str hashes, and so those of labeled
+        # entries, differ from one process to the next.
+        return {"offset": self.offset, "label": self.label, "lo": self.lo, "hi": self.hi}
 
     @classmethod
     def rational(cls, x):
@@ -193,8 +209,12 @@ class Pattern:
         return Pattern(self.n, tuple(ents))
 
     def shifted(self, k, i, delta):
-        """Add an integer to entry (k,i)."""
-        return self.with_entry((k, i), self[(k, i)].add(delta))
+        """Add an integer to entry (k,i).  The other entries are taken as they
+        are, with their cached hashes."""
+        idx = coord_index(self.n, (k, i))
+        ents = self.entries
+        return Pattern._from_entries(
+            self.n, ents[:idx] + (ents[idx].add(delta),) + ents[idx + 1:])
 
     def offsets_key(self):
         return tuple(e.offset for e in self.entries)
@@ -229,11 +249,22 @@ def is_c_pattern(C, X):
 
 
 def satisfies(C, L):
-    """l_src - l_dst is a nonnegative integer for every relation."""
+    """l_src - l_dst is a nonnegative integer for every relation.
+
+    In int arithmetic: it is one iff the labels are equal, the offsets have
+    the same reduced denominator, and their numerators differ by a
+    nonnegative multiple of it."""
     _check_sizes(C, L)
     for src, dst in C:
-        d = L[src].diff(L[dst])
-        if d is None or d.denominator != 1 or d < 0:
+        a, b = L[src], L[dst]
+        if a.label != b.label:
+            return False
+        p, q = a.offset, b.offset
+        den = p.denominator
+        if q.denominator != den:
+            return False
+        d = p.numerator - q.numerator
+        if d < 0 or d % den:
             return False
     return True
 
@@ -285,17 +316,18 @@ def row_sum(X, k):
 
 
 def weight(X, k):
-    """w_k = R_k - R_{k-1}; labels must cancel between the two rows."""
+    """w_k = R_k - R_{k-1}; labels must cancel between the two rows.  Summed
+    as ints over the common denominator of the offsets."""
     if not 1 <= k <= X.n:
         raise ValueError(f"row {k} out of range")
-    labels_k = sorted(e.label for e in X.row(k) if e.label)
-    labels_km1 = [] if k == 1 else sorted(e.label for e in X.row(k - 1) if e.label)
-    if labels_k != labels_km1:
+    row = X.row(k)
+    below = [] if k == 1 else X.row(k - 1)
+    if sorted(e.label for e in row if e.label) != sorted(e.label for e in below if e.label):
         raise NonRationalWeight(f"labels do not cancel in weight {k}")
-    total = sum(e.offset for e in X.row(k))
-    if k > 1:
-        total -= sum(e.offset for e in X.row(k - 1))
-    return Fraction(total)
+    den = lcm(*(e.offset.denominator for e in row + below))
+    num = sum(e.offset.numerator * (den // e.offset.denominator) for e in row)
+    num -= sum(e.offset.numerator * (den // e.offset.denominator) for e in below)
+    return Fraction(num, den)
 
 
 def weight_vector(X):

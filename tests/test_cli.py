@@ -6,7 +6,10 @@ import pytest
 
 from relpoly import cli, fileio
 from relpoly.cli import main
+from relpoly.errors import RelpolyError
+from relpoly.modaction import check_commutators
 from relpoly.patterns import Pattern, constant_pattern
+from relpoly.polyhedra import enumerate_integral
 from relpoly.relations import RelationSet, standard_set
 
 FIG_ROWS = [[9, 8, 6, 5, 3], [8, 5, 5, 4], [3, 3, 0], [3, -1], [-2]]
@@ -125,6 +128,54 @@ def test_enumerate_limit_is_the_full_output_sliced(capsys, tmp_path, mu):
         assert code == 0
         want = dict(full, points=full["points"][:limit])
         assert out == json.dumps(want, sort_keys=True) + "\n"
+
+
+def commutators_unstreamed(C, L, limit):
+    """Exit code and stdout of `relpoly commutators` computed the way it was
+    before --limit streamed: the whole basis enumerated, then sliced."""
+    try:
+        basis = enumerate_integral(C, L).points
+        if limit is not None:
+            basis = basis[:limit]
+        report = check_commutators(C, L, basis)
+    except RelpolyError as exc:
+        return 1, json.dumps({"error": {"code": exc.code, "message": str(exc)}}) + "\n"
+    out = {"checked": report.checked,
+           "failures": [[name, str(P), res] for name, P, res in report.failures]}
+    return (0 if report.ok else 1), json.dumps(out, sort_keys=True) + "\n"
+
+
+# C1 with a two-cycle between (1,1) and (2,1) is bounded but not closed under
+# the action: 6 basis vectors, failures on several of them.
+COMMUTATOR_LIMIT_CASES = {
+    "ok": (standard_set(3, 1, "both"), [[2, 1, 0], [1, 0], [0]], 8),
+    "failures": (RelationSet(3, list(standard_set(3, 1, "both"))
+                             + [((1, 1), (2, 1)), ((2, 1), (1, 1))]),
+                 [[3, 1, 0], [1, 1], [1]], 6),
+    "unbounded": (standard_set(3, 1, "plus"), [[2, 1, 0], [1, 0], [0]], None),
+    "not_satisfying": (standard_set(3, 1, "both"), [[2, 1, 0], [3, 0], [0]], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMMUTATOR_LIMIT_CASES))
+def test_commutators_limit_matches_the_sliced_basis(capsys, tmp_path, case):
+    C, rows, count = COMMUTATOR_LIMIT_CASES[case]
+    L = Pattern.from_rows(rows)
+    rel = tmp_path / "c.rel"
+    rel.write_text(fileio.dump_relations(C))
+    pat = tmp_path / "l.pat"
+    pat.write_text(fileio.dump_pattern(L))
+    argv = ["commutators", "--relations", str(rel), "--pattern", str(pat)]
+    if count is not None:
+        assert len(enumerate_integral(C, L).points) == count
+    limits = (None, 0, 1, 2) + ((count, count + 5) if count is not None else ())
+    outcomes = set()
+    for limit in limits:
+        extra = [] if limit is None else ["--limit", str(limit)]
+        code, out = run(capsys, *argv, *extra)
+        assert (code, out) == commutators_unstreamed(C, L, limit), limit
+        outcomes.add(code)
+    assert outcomes == ({0} if case == "ok" else {1} if count is None else {0, 1})
 
 
 @pytest.mark.parametrize("argv", [

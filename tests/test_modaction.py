@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from relpoly import fileio
+from relpoly import fileio, modaction
 from relpoly.cli import main
 from relpoly.errors import (
     CriticalDenominator,
@@ -309,6 +309,55 @@ def test_check_commutators_fractional_failure_matches_reference():
     assert got == commutator_outcome(reference_check_commutators, C, L, sample)
     assert got == (2, [("[raise2,lower2]", "0 2 3 | 5/6 5/6 | 5/6",
                         "(-49/216)*[0 2 3 | 5/6 5/6 | 5/6]")])
+
+
+def test_diagonal_cartan_brackets_fail_like_the_reference(monkeypatch):
+    # No true action fails a cartan bracket, so the failures come from an
+    # act_cartan that adds 1/2 or -1 to the weight on two thirds of the
+    # tableaux; the reference reaches it through act_in_basis.
+    true_cartan = modaction.act_cartan
+
+    def perturbed(k, M):
+        v = true_cartan(k, M)
+        r = (sum(e.offset for e in M.entries) + k) % 3
+        if r == 0:
+            return v
+        return v + LinComb.single(M, Fraction(1, 2) if r == 1 else -1)
+
+    monkeypatch.setattr(modaction, "act_cartan", perturbed)
+    cases = []
+    for lam in ((2, 1, 0), (2, 1, 1, 0)):
+        n = len(lam)
+        C = standard_set(n, 1, "both")
+        L = Pattern.from_rows([list(lam[:k]) for k in range(n, 0, -1)])
+        cases.append((C, L, enumerate_integral(C, L).points))
+    C = standard_set(3, 3, "both")
+    L = rows((Fraction(1, 2), Fraction(5, 7), Fraction(9, 11)),
+             (Fraction(1, 5), Fraction(1, 3)),
+             (Fraction(1, 7),))
+    cases.append((C, L, [L, L.shifted(2, 1, 1), L.shifted(1, 1, -2)]))
+    rng = random.Random(20261021)
+    for _ in range(60):
+        C = random_relation_set(rng, rng.choice((2, 3, 3, 4)))
+        cases.append((C, *random_sample(rng, C)))
+    names = set()
+    for C, L, sample in cases:
+        got = commutator_outcome(check_commutators, C, L, sample)
+        assert got == commutator_outcome(reference_check_commutators, C, L, sample), (
+            C, [str(M) for M in sample])
+        if not isinstance(got[0], str):
+            names.update(name.split(",")[0] for name, _, _ in got[1])
+    assert {"[cartan1", "[cartan2", "[cartan3", "[cartan4", "[raise1"} <= names, names
+
+
+def test_cartan_column_off_its_diagonal_fails_loudly(monkeypatch):
+    true_cartan = modaction.act_cartan
+    monkeypatch.setattr(modaction, "act_cartan",
+                        lambda k, M: true_cartan(k, M) + act_raise(1, M))
+    C = standard_set(3, 1, "both")
+    L = rows((2, 1, 0), (1, 0), (0,))
+    with pytest.raises(RuntimeError, match="off its diagonal"):
+        check_commutators(C, L, enumerate_integral(C, L).points)
 
 
 def test_cartan_eigenbasis():

@@ -1,11 +1,17 @@
 """Entries, patterns, pointwise predicates, and weight functionals."""
 
+import json
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import relpoly
 from relpoly.errors import IncomparableEntries, NonRationalWeight
 from relpoly.patterns import (
     Entry,
@@ -129,6 +135,130 @@ def test_pattern_hash_is_computed_on_first_use():
     assert "_hash" not in vars(points[4])
     assert pickle.loads(pickle.dumps(P)) == P
     assert "_hash" not in vars(pickle.loads(pickle.dumps(P)))
+
+
+def test_entry_hash_is_cached_on_first_use():
+    for e in (Entry.rational(Fraction(5, 6)), Entry.sqrt(2, -3),
+              Entry.labeled("t", 1, 2, Fraction(-1, 2))):
+        assert "_hash" not in vars(e)
+        h = hash(e)
+        assert vars(e)["_hash"] == h == hash((e.offset, e.label))
+        assert hash(Entry(e.offset, e.label, e.lo, e.hi)) == h
+        back = pickle.loads(pickle.dumps(e))
+        assert back == e and "_hash" not in vars(back)
+
+
+def random_entry(rng):
+    """A rational, sqrt2 or sqrt3 entry whose offset has a small int part
+    (negative ones included) and one of several denominators."""
+    q = rng.randint(-3, 3) + rng.choice((0, 0, Fraction(1, 2), Fraction(-1, 3),
+                                         Fraction(1, 3), Fraction(5, 6)))
+    label = rng.choice((None, None, 2, 3))
+    return Entry.rational(q) if label is None else Entry.sqrt(label, q)
+
+
+def random_pattern(rng, n):
+    return Pattern.from_rows(
+        [[random_entry(rng) for _ in range(k)] for k in range(n, 0, -1)])
+
+
+def reference_satisfies(C, L):
+    for src, dst in C:
+        d = L[src].diff(L[dst])
+        if d is None or d.denominator != 1 or d < 0:
+            return False
+    return True
+
+
+def test_satisfies_matches_the_diff_reference():
+    rng = random.Random(20261019)
+    outcomes = {True: 0, False: 0}
+    for _ in range(1500):
+        n = rng.randint(2, 4)
+        arcs = []
+        for _ in range(rng.randint(0, 3)):
+            k = rng.randint(1, n - 1)
+            pair = ((k + 1, rng.randint(1, k + 1)), (k, rng.randint(1, k)))
+            arcs.append(pair if rng.random() < 0.5 else pair[::-1])
+        L = random_pattern(rng, n)
+        if rng.random() < 0.6:
+            # Give each arc's target its source's label, mostly its
+            # fractional part too, and a value below or just above it: both
+            # outcomes stay common.
+            for src, dst in arcs:
+                step = rng.randint(-1, 3) + rng.choice((0, 0, 0, Fraction(1, 3), Fraction(2, 3)))
+                L = L.with_entry(dst, L[src].add(-step))
+        C = RelationSet(n, arcs)
+        got = satisfies(C, L)
+        assert got == reference_satisfies(C, L), (arcs, str(L))
+        outcomes[got] += 1
+    assert min(outcomes.values()) >= 300, outcomes
+
+
+def test_shifted_matches_with_entry():
+    rng = random.Random(20261020)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        P = random_pattern(rng, n)
+        if rng.random() < 0.5:
+            hash(P)  # shift a tableau whose entries carry cached hashes
+        k = rng.randint(1, n)
+        i = rng.randint(1, k)
+        delta = rng.choice((-2, -1, 1, 3))
+        S = P.shifted(k, i, delta)
+        W = P.with_entry((k, i), P[(k, i)].add(delta))
+        assert S == W and hash(S) == hash(W) and str(S) == str(W)
+        assert all(type(e) is Entry for e in S.entries)
+        idx = coord_index(n, (k, i))
+        assert all(a is b for j, (a, b) in enumerate(zip(S.entries, P.entries)) if j != idx)
+        assert S[(k, i)].offset == P[(k, i)].offset + delta
+
+
+PICKLE_OBJECTS = """
+from fractions import Fraction
+from relpoly.patterns import Entry, Pattern
+OBJECTS = [
+    Entry.sqrt(2), Entry.sqrt(3, Fraction(-1, 2)), Entry.rational(Fraction(5, 6)),
+    Entry.labeled("t", 0, 1, 2),
+    Pattern.from_rows([[Entry.sqrt(2, 1), Entry.sqrt(3), 0],
+                       [Entry.sqrt(2), Fraction(1, 2)], [Entry.sqrt(2, -1)]]),
+]
+"""
+
+PICKLE_DUMP = PICKLE_OBJECTS + """
+import pickle, sys
+for x in OBJECTS:
+    hash(x)  # cache every hash, the entries' too, before pickling
+sys.stdout.buffer.write(pickle.dumps(OBJECTS))
+"""
+
+PICKLE_LOAD = PICKLE_OBJECTS + """
+import json, pickle, sys
+loaded = pickle.loads(sys.stdin.buffer.read())
+cached = [x for x in loaded + list(loaded[-1].entries) if "_hash" in vars(x)]
+print(json.dumps({
+    "cached": len(cached),
+    "equal": [x == y for x, y in zip(loaded, OBJECTS)],
+    "hashes": [hash(x) == hash(y) for x, y in zip(loaded, OBJECTS)],
+    "lookups": [{y: i}.get(x) == i and {x: i}.get(y) == i
+                for i, (x, y) in enumerate(zip(loaded, OBJECTS))],
+}))
+"""
+
+
+def test_pickles_load_under_another_hash_seed():
+    # Labeled entries hash their label, a str, so a hash cached under one
+    # seed is wrong under another: pickles must leave it behind.
+    env = dict(os.environ, PYTHONPATH=str(Path(relpoly.__file__).parent.parent))
+
+    def python(code, seed, data=None):
+        return subprocess.run(
+            [sys.executable, "-c", code], input=data, capture_output=True,
+            env=dict(env, PYTHONHASHSEED=str(seed)), check=True, timeout=60).stdout
+
+    got = json.loads(python(PICKLE_LOAD, 0, python(PICKLE_DUMP, 1)))
+    assert got == {"cached": 0, "equal": [True] * 5, "hashes": [True] * 5,
+                   "lookups": [True] * 5}
 
 
 def test_is_c_pattern():
