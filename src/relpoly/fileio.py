@@ -7,7 +7,8 @@ Relation text format, one relation per line::
 
 Pattern text format: n lines, top row first, whitespace-separated entries.
 Rationals are ``p/q``; labeled entries ``name`` or ``name+p/q`` with a
-sidecar line ``name = <lo> <hi>`` giving a decimal enclosure of the base.
+sidecar line ``name = <lo> <hi>`` giving a decimal enclosure of the base;
+a second sidecar line for a name must give the same enclosure.
 """
 
 import json
@@ -101,7 +102,9 @@ def parse_pattern(text):
             parts = rest.split()
             if not _LABEL_RE.match(name) or len(parts) != 2:
                 raise ParseError(f"line {lineno}: expected 'name = <lo> <hi>'")
-            labels[name] = (_parse_decimal(parts[0]), _parse_decimal(parts[1]))
+            enclosure = (_parse_decimal(parts[0]), _parse_decimal(parts[1]))
+            if labels.setdefault(name, enclosure) != enclosure:
+                raise ParseError(f"line {lineno}: second, different enclosure of {name!r}")
         else:
             row_lines.append((lineno, line.split()))
     if not row_lines:

@@ -204,10 +204,6 @@ class CommutatorReport:
         return not self.failures
 
 
-def _nonzero(acc):
-    return {j: c for j, c in acc.items() if c}
-
-
 def check_commutators(C, L, sample):
     """Verify the bracket identities of the generator action on each sample.
 
@@ -220,8 +216,11 @@ def check_commutators(C, L, sample):
     Tableaux get a position the first time they are met (None outside the
     basis), and the column of a generator at a position is built the first
     time a bracket needs it, so a sample without a finite basis is fine.
-    The cartan brackets are read off the diagonal: cartan_j multiplies each
-    tableau by its weight, which its own column holds.
+    Every other sum of vectors goes through one helper, combine.  The
+    cartan brackets are read off the diagonal: cartan_j multiplies each
+    tableau by its weight, which its own column holds.  A distant same-type
+    bracket is computed once, at k < l, and [kind_l, kind_k] is reported as
+    its negation.
     """
     n = L.n
     failures = []
@@ -251,41 +250,30 @@ def check_commutators(C, L, sample):
                 den, {t: c.numerator * (den // c.denominator) for t, c in kept.items()})
             return col
 
-    def apply(gen, vec):
-        # vec is a sample vector or a multiple of one column, whose keys are in
-        # term order, so columns are built in the order act_in_basis acts on
-        # the terms, and the first error raised is the one it would raise.
-        den, nums = vec
-        if den == 1 and len(nums) == 1:
-            (j, c), = nums.items()
-            if c == 1:
-                return column(gen, j)
-        cols = [(c, column(gen, j)) for j, c in nums.items()]
-        common = lcm(*(d for _, (d, _) in cols))
+    def combine(parts):
+        # The sum of c * vec over (int c, vec) parts, over the lcm of their
+        # denominators, with zero coefficients dropped.
+        common = lcm(*(d for _, (d, _) in parts))
         acc = {}
-        for c, (d, col) in cols:
+        for c, (d, nums) in parts:
             c *= common // d
-            for t, a in col.items():
+            for t, a in nums.items():
                 if t in acc:
                     acc[t] += a * c
                 else:
                     acc[t] = a * c
-        return den * common, _nonzero(acc)
+        return common, {t: a for t, a in acc.items() if a}
 
-    def minus(a, b, scale=1):
-        (da, na), (db, nb) = a, b
-        den = lcm(da, db)
-        fa, fb = den // da, scale * (den // db)
-        acc = {j: c * fa for j, c in na.items()}
-        for j, c in nb.items():
-            if j in acc:
-                acc[j] -= c * fb
-            else:
-                acc[j] = -c * fb
-        return den, _nonzero(acc)
-
-    def bracket(g1, g2, vec):
-        return minus(apply(g1, apply(g2, vec)), apply(g2, apply(g1, vec)))
+    def bracket(g1, g2, pos):
+        # [g1, g2] e_pos.  Columns are built in the order a composition of
+        # act_in_basis calls acts on the terms, so the first error raised is
+        # the one it would raise: g2 at pos, g1 at each of its terms, then g1
+        # at pos, g2 at each of its terms.
+        d2, col2 = column(g2, pos)
+        d12, nums12 = combine([(c, column(g1, t)) for t, c in col2.items()])
+        d1, col1 = column(g1, pos)
+        d21, nums21 = combine([(c, column(g2, t)) for t, c in col1.items()])
+        return combine([(1, (d2 * d12, nums12)), (-1, (d1 * d21, nums21))])
 
     def weight_at(j, t):
         # w_j at position t, as (den, num), read off the cartan_j column.
@@ -307,7 +295,7 @@ def check_commutators(C, L, sample):
         shift = wp * (common // dp) + want * common
         acc = {t: a * (w * (common // d) - shift)
                for (t, a), (d, w) in zip(col.items(), ws)}
-        return den * common, _nonzero(acc)
+        return den * common, {t: a for t, a in acc.items() if a}
 
     def residual(vec):
         den, nums = vec
@@ -317,11 +305,11 @@ def check_commutators(C, L, sample):
         pos = locate(M)
         if pos is None:
             raise NotSatisfying("input term outside the basis")
-        v = (1, {pos: 1})
         checked += 1
         for k in range(1, n):
-            lhs = bracket((RAISE, k), (LOWER, k), v)
-            res = minus(lhs, minus(apply((CARTAN, k), v), apply((CARTAN, k + 1), v)))
+            lhs = bracket((RAISE, k), (LOWER, k), pos)  # built before the cartan columns
+            res = combine([(1, lhs), (-1, column((CARTAN, k), pos)),
+                           (1, column((CARTAN, k + 1), pos))])
             if res[1]:
                 failures.append((f"[raise{k},lower{k}]", M, residual(res)))
         for j in range(1, n + 1):
@@ -333,15 +321,22 @@ def check_commutators(C, L, sample):
                 res = cartan_bracket(j, (LOWER, k), pos, -want)
                 if res[1]:
                     failures.append((f"[cartan{j},lower{k}]", M, residual(res)))
+        mirrors = {}
         for k in range(1, n):
             for l in range(1, n):
                 if abs(k - l) >= 2:
                     for kind in (RAISE, LOWER):
-                        res = bracket((kind, k), (kind, l), v)
+                        if k < l:
+                            res = bracket((kind, k), (kind, l), pos)
+                            # [kind_l, kind_k] e = -[kind_k, kind_l] e, reported
+                            # when the loop reaches (l, k).
+                            mirrors[kind, l, k] = combine([(-1, res)]) if res[1] else res
+                        else:
+                            res = mirrors.pop((kind, k, l))
                         if res[1]:
                             failures.append((f"[{kind}{k},{kind}{l}]", M, residual(res)))
                 if k != l:
-                    res = bracket((RAISE, k), (LOWER, l), v)
+                    res = bracket((RAISE, k), (LOWER, l), pos)
                     if res[1]:
                         failures.append((f"[raise{k},lower{l}]", M, residual(res)))
     return CommutatorReport(checked, tuple(failures))

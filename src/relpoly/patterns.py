@@ -156,7 +156,14 @@ class Pattern:
     def __post_init__(self):
         if len(self.entries) != self.n * (self.n + 1) // 2:
             raise ValueError("wrong number of entries")
-        object.__setattr__(self, "entries", tuple(map(Entry.rational, self.entries)))
+        entries = tuple(map(Entry.rational, self.entries))
+        object.__setattr__(self, "entries", entries)
+        enclosures = {}
+        for e in entries:
+            if e.label is None:
+                continue
+            if enclosures.setdefault(e.label, (e.lo, e.hi)) != (e.lo, e.hi):
+                raise ValueError(f"label {e.label!r} is given two different enclosures")
 
     @classmethod
     def _from_entries(cls, n, entries):
@@ -218,9 +225,6 @@ class Pattern:
 
     def offsets_key(self):
         return tuple(e.offset for e in self.entries)
-
-    def all_rational(self):
-        return all(e.is_rational for e in self.entries)
 
     def __str__(self):
         return " | ".join(

@@ -18,6 +18,9 @@ FACE_DIM_FAMILIES = (
     ("empty", 1, "empty"),
 )
 
+# Entry ranges [0, width] of the random C-patterns.
+FACE_DIM_WIDTHS = (2, 3, 4)
+
 COMMUTATOR_WEIGHTS = ((1, 0), (2, 0), (2, 1, 0), (1, 1, 0), (2, 1, 1, 0), (3, 2, 1, 0),
                       (4, 3, 2, 1, 0))
 
@@ -51,7 +54,7 @@ def random_c_pattern(rng, C, width=4):
     return Pattern.from_rows(rows)
 
 
-def face_dim_sweep(seed, count=200, widths=(2, 3, 4)):
+def face_dim_sweep(seed, count=200):
     """Compare the tile-counting dimensions with the rank oracle, n in [2, 12]."""
     rng = random.Random(seed)
     failures = []
@@ -60,7 +63,7 @@ def face_dim_sweep(seed, count=200, widths=(2, 3, 4)):
         n = rng.randint(2, 12)
         k_eff = min(k, n)
         C = standard_set(n, k_eff, variant)
-        X = random_c_pattern(rng, C, rng.choice(widths))
+        X = random_c_pattern(rng, C, rng.choice(FACE_DIM_WIDTHS))
         d, s, r = min_face_dims(C, X)
         got = tuple(
             face_dim_oracle(system_at(C, X, which), X)

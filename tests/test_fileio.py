@@ -71,6 +71,13 @@ def test_pattern_text_errors():
         fileio.parse_pattern("1 z\n0\n")
 
 
+def test_pattern_text_one_enclosure_per_label():
+    with pytest.raises(ParseError, match="line 4: second, different enclosure of 'a'"):
+        fileio.parse_pattern("a 0\na\na = 1 2\na = 5 6\n")
+    X = fileio.parse_pattern("a 0\na\na = 1 2\na = 1.0 2\n")  # the same one again
+    assert X[(2, 1)] == X[(1, 1)] and (X[(1, 1)].lo, X[(1, 1)].hi) == (1, 2)
+
+
 def test_pattern_json_roundtrip():
     X = Pattern.from_rows([[1, 0], [Entry.sqrt(2)]])
     obj = fileio.pattern_to_json(X)

@@ -350,6 +350,26 @@ def test_diagonal_cartan_brackets_fail_like_the_reference(monkeypatch):
     assert {"[cartan1", "[cartan2", "[cartan3", "[cartan4", "[raise1"} <= names, names
 
 
+def test_distant_brackets_fail_like_the_reference(monkeypatch):
+    # raise_1 and raise_3 read and move disjoint rows, so no true action
+    # fails [raise1,raise3]; an act_raise(3, .) that doubles on even l_11
+    # does, and [raise3,raise1] must come out as its negation, in its place.
+    true_raise = modaction.act_raise
+
+    def perturbed(k, M):
+        v = true_raise(k, M)
+        return v.scale(2) if k == 3 and M[(1, 1)].offset % 2 == 0 else v
+
+    monkeypatch.setattr(modaction, "act_raise", perturbed)
+    C = standard_set(4, 1, "both")
+    L = rows((3, 2, 1, 0), (3, 2, 1), (3, 2), (3,))
+    sample = enumerate_integral(C, L).points[::4]
+    got = commutator_outcome(check_commutators, C, L, sample)
+    assert got == commutator_outcome(reference_check_commutators, C, L, sample)
+    names = {name for name, _, _ in got[1]}
+    assert {"[raise1,raise3]", "[raise3,raise1]"} <= names, names
+
+
 def test_cartan_column_off_its_diagonal_fails_loudly(monkeypatch):
     true_cartan = modaction.act_cartan
     monkeypatch.setattr(modaction, "act_cartan",

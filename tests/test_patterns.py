@@ -102,6 +102,16 @@ def test_pattern_roundtrip_rows():
     assert str(X) == "2 1 0 | 1 0 | 0"
 
 
+def test_pattern_one_enclosure_per_label():
+    a = Entry.labeled("a", 1, 2)
+    with pytest.raises(ValueError, match="'a' is given two different enclosures"):
+        Pattern.from_rows([[a, 0], [Entry.labeled("a", 1, 3)]])
+    with pytest.raises(ValueError, match="two different enclosures"):
+        Pattern(2, (a, Entry.rational(0), Entry.labeled("a", 0, 2, offset=1)))
+    X = Pattern.from_rows([[a, 0], [Entry.labeled("a", 1, 2, offset=-1)]])
+    assert X[(1, 1)].label == "a"
+
+
 def test_pattern_shift():
     X = Pattern.from_rows([[1, 0], [0]])
     Y = X.shifted(1, 1, 1)
