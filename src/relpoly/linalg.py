@@ -1,12 +1,14 @@
 """Exact linear algebra over the rationals: reduced row echelon, rank, nullspace.
 
 Elimination works on sparse integer rows, dicts from column to a nonzero int.
-Each input row is scaled to coprime integers.  It is then reduced against an
-echelon basis keyed by leading column: cross-multiply to clear the leading
-entry, then divide out the content (the gcd of the entries), which leaves no
-remainder.  This is fraction-free elimination (see E. H. Bareiss, Math. Comp.
-22, 1968), and rows stay short when the input is sparse.  Back-substitution
-runs on the same integer rows.
+`sparse_rank` takes such rows; `rref`, `rank` and `nullspace` convert each
+dense input row once.  Each row is scaled to coprime integers.  It is then
+reduced against an echelon basis keyed by leading column: cross-multiply to
+clear the leading entry, then divide out the content (the gcd of the
+entries), which leaves no remainder.  This is fraction-free elimination (see
+E. H. Bareiss, Math. Comp. 22, 1968), and rows stay short when the input is
+sparse.  The rank is the pivot count of this forward pass.  Back-substitution,
+for `rref` and `nullspace` only, runs on the same integer rows.
 
 ``Fraction``s appear only in the results: the reduced rows of ``rref`` and
 the vectors of ``nullspace``.  The reduced row echelon form of a row space is
@@ -22,7 +24,7 @@ _ONE = Fraction(1)
 
 
 def _integer_row(row, ncols):
-    """The row as a sparse dict of coprime ints, with the same row space."""
+    """The dense row as a new sparse dict of ints, with the same row space."""
     if len(row) != ncols:
         raise ValueError(f"row has {len(row)} entries, expected {ncols}")
     sparse = {c: row[c] for c in compress(range(ncols), row)}
@@ -30,7 +32,7 @@ def _integer_row(row, ncols):
         fracs = {c: Fraction(x) for c, x in sparse.items()}
         scale = lcm(*(x.denominator for x in fracs.values()))
         sparse = {c: int(x * scale) for c, x in fracs.items() if x}
-    return _primitive(sparse)
+    return sparse
 
 
 def _primitive(row):
@@ -60,11 +62,14 @@ def _eliminate(row, col, pivot_row):
         _primitive(row)
 
 
-def _echelon(rows, ncols):
-    """Echelon basis of the row space: {leading column: primitive int row}."""
+def _echelon(rows):
+    """Echelon basis of the row space: {leading column: primitive int row}.
+
+    The rows are sparse int rows, which it reduces in place.
+    """
     basis = {}
     for row in rows:
-        row = _integer_row(row, ncols)
+        _primitive(row)
         while row:
             lead = min(row)
             pivot_row = basis.get(lead)
@@ -83,7 +88,7 @@ def rref(rows, ncols):
 
     Every row must have exactly `ncols` entries.
     """
-    basis = _echelon(rows, ncols)
+    basis = _echelon(_integer_row(row, ncols) for row in rows)
     pivots = sorted(basis)
     # Back-substitution, from the last pivot up.  A reduced row is zero in
     # every pivot column but its own, so clearing one column fills no other.
@@ -105,7 +110,13 @@ def rref(rows, ncols):
 
 
 def rank(rows, ncols):
-    return len(rref(rows, ncols)[1])
+    """Rank of the dense rows, each of exactly `ncols` entries."""
+    return len(_echelon(_integer_row(row, ncols) for row in rows))
+
+
+def sparse_rank(rows):
+    """Rank of sparse rows {column: nonzero int}, which are left unchanged."""
+    return len(_echelon(dict(row) for row in rows))
 
 
 def nullspace(rows, ncols):

@@ -4,7 +4,8 @@ active-constraint face-dimension oracle.
 The oracle computes the dimension of the minimal face containing a point as
 the nullity of the matrix stacking all equality rows and the inequality rows
 tight at the point, by exact fraction-free elimination of its 0/+-1 integer
-rows.  It is the independent check for the tile-counting formulas.
+rows, built sparse as {column: +-1}.  It is the independent check for the
+tile-counting formulas.
 """
 
 from dataclasses import dataclass
@@ -348,21 +349,13 @@ def first_points(C, L, limit, mu=None):
 
 def _equality_rows(system):
     n = system.n
-    ncols = n * (n + 1) // 2
     rows = []
     if system.eq_top is not None:
-        for r in range(1, n + 1):
-            row = [0] * ncols
-            row[coord_index(n, (n, r))] = 1
-            rows.append(row)
+        rows += [{coord_index(n, (n, r)): 1} for r in range(1, n + 1)]
     if system.eq_weights is not None:
         for k in range(1, n + 1):
-            row = [0] * ncols
-            for i in range(1, k + 1):
-                row[coord_index(n, (k, i))] = 1
-            if k > 1:
-                for i in range(1, k):
-                    row[coord_index(n, (k - 1, i))] = -1
+            row = {coord_index(n, (k, i)): 1 for i in range(1, k + 1)}
+            row.update((coord_index(n, (k - 1, i)), -1) for i in range(1, k))
             rows.append(row)
     return rows
 
@@ -389,17 +382,12 @@ def face_dim_oracle(system, X):
     zero = Entry.rational(0)
     for src, dst in system.inequalities:
         if X[src] == X[dst]:
-            row = [0] * ncols
-            row[coord_index(n, src)] += 1
-            row[coord_index(n, dst)] -= 1
-            rows.append(row)
+            rows.append({coord_index(n, src): 1, coord_index(n, dst): -1})
         elif cmp_entries(X[src], X[dst]) < 0:
             raise Infeasible(f"inequality {src} >= {dst} violated")
     for v in system.nonneg:
         if X[v] == zero:
-            row = [0] * ncols
-            row[coord_index(n, v)] = 1
-            rows.append(row)
+            rows.append({coord_index(n, v): 1})
         elif cmp_entries(X[v], zero) < 0:
             raise Infeasible(f"nonnegativity violated at {v}")
-    return ncols - linalg.rank(rows, ncols)
+    return ncols - linalg.sparse_rank(rows)

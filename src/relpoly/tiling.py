@@ -83,10 +83,20 @@ def tiling_matrix(C, X, tiling=None):
     return TilingMatrix(n, s, tuple(rows))
 
 
+def _width(A):
+    """Columns of A: s, or n-1 for the identity that stands in when s = 0."""
+    return A.free_tile_count if A.free_tile_count > 0 else A.n - 1
+
+
 def kernel(A):
     """Deterministic exact basis of ker(A), as tuples of rationals."""
-    ncols = A.free_tile_count if A.free_tile_count > 0 else A.n - 1
-    return linalg.nullspace(A.entries, ncols)
+    return linalg.nullspace(A.entries, _width(A))
+
+
+def kernel_dim(A):
+    """len(kernel(A)): the number of columns minus the rank."""
+    ncols = _width(A)
+    return ncols - linalg.rank(A.entries, ncols)
 
 
 def min_face_dims(C, X):
@@ -97,7 +107,7 @@ def min_face_dims(C, X):
     """
     tiling = compute_tiling(C, X)
     A = tiling_matrix(C, X, tiling)
-    return len(tiling.tiles), tiling.free_count, len(kernel(A))
+    return len(tiling.tiles), tiling.free_count, kernel_dim(A)
 
 
 def min_face_dims_plus(C, X):
@@ -115,7 +125,7 @@ def min_face_dims_plus(C, X):
     if tiling.free_count == 0:
         return Inapplicable("no lambda1-free tile")
     A = tiling_matrix(C, X, tiling)
-    return tiling.free_count, len(kernel(A))
+    return tiling.free_count, kernel_dim(A)
 
 
 def _min_gap(X):

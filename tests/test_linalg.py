@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from relpoly.linalg import nullspace, rank, rref
+from relpoly.linalg import nullspace, rank, rref, sparse_rank
 
 
 def reference_rref(rows, ncols):
@@ -69,6 +70,15 @@ def random_matrix(rng):
     return rows, ncols
 
 
+def sparse_int_rows(rows):
+    """Each row as {column: nonzero int}, scaled by the lcm of its denominators."""
+    out = []
+    for row in rows:
+        scale = lcm(*(Fraction(x).denominator for x in row))
+        out.append({c: int(x * scale) for c, x in enumerate(row) if x})
+    return out
+
+
 def test_matches_reference_on_random_matrices():
     rng = random.Random(11)
     shapes = set()
@@ -81,6 +91,10 @@ def test_matches_reference_on_random_matrices():
         assert got_rows == want_rows
         assert all(type(x) is Fraction for row in got_rows for x in row)
         assert rank(rows, ncols) == len(want_pivots)
+        sparse = sparse_int_rows(rows)
+        before = [list(row.items()) for row in sparse]
+        assert sparse_rank(sparse) == len(want_pivots)
+        assert [list(row.items()) for row in sparse] == before
         want_null = reference_nullspace(want_rows, want_pivots, ncols)
         assert repr(nullspace(rows, ncols)) == repr(want_null)
     assert shapes == {-1, 0, 1}
@@ -110,6 +124,7 @@ def test_empty_and_zero_inputs():
     assert rref([[0, 0, 0], [0, 0, 0]], 3) == ([], [])
     assert rref([[], []], 0) == ([], [])
     assert rank([[0, 0]], 2) == 0
+    assert sparse_rank([]) == sparse_rank([{}]) == 0
     assert nullspace([], 2) == [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
 
 

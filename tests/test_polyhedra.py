@@ -1,10 +1,13 @@
 """Constraint systems, boundedness, integral-point enumeration, rank oracle."""
 
+import ast
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import ceil, floor
+from pathlib import Path
 
 import pytest
 
@@ -17,11 +20,14 @@ from relpoly.errors import (
     UnboundedWeightSlice,
     WeightMismatch,
 )
+from relpoly.linalg import rref
 from relpoly.modaction import weyl_dim
 from relpoly.patterns import (
     Entry,
     Pattern,
+    cmp_entries,
     constant_pattern,
+    coord_index,
     row_sum,
     satisfies,
     weight_vector,
@@ -42,7 +48,10 @@ from relpoly.polyhedra import (
 )
 from relpoly.relations import RelationSet, connected_components, standard_set
 from relpoly.selftest import random_c_pattern
-from relpoly.tiling import min_face_dims
+from relpoly.tiling import kernel, kernel_dim, min_face_dims, tiling_matrix
+from test_relations import random_relation_set
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "relpoly"
 
 
 def gt_base(lam):
@@ -232,6 +241,114 @@ def test_oracle_matches_tile_counts_large(n, k, variant):
             for which in ("pc", "lambda", "mu")
         )
         assert dims == min_face_dims(C, X)
+
+
+def reference_face_dim_oracle(system, X):
+    """face_dim_oracle on dense rows, with the rank read off the rref."""
+    n = system.n
+    if X.n != n:
+        raise Infeasible(f"pattern has n={X.n}, system has n={n}")
+    ncols = n * (n + 1) // 2
+    rows = []
+    if system.eq_top is not None:
+        for r in range(1, n + 1):
+            row = [0] * ncols
+            row[coord_index(n, (n, r))] = 1
+            rows.append(row)
+    if system.eq_weights is not None:
+        for k in range(1, n + 1):
+            row = [0] * ncols
+            for i in range(1, k + 1):
+                row[coord_index(n, (k, i))] = 1
+            for i in range(1, k):
+                row[coord_index(n, (k - 1, i))] = -1
+            rows.append(row)
+    if system.eq_top is not None:
+        for r in range(1, n + 1):
+            if X[(n, r)] != system.eq_top[r - 1]:
+                raise Infeasible(f"top-row pin violated at column {r}")
+    if system.eq_weights is not None:
+        if weight_vector(X) != system.eq_weights:
+            raise Infeasible("weight pins violated")
+    zero = Entry.rational(0)
+    for src, dst in system.inequalities:
+        if X[src] == X[dst]:
+            row = [0] * ncols
+            row[coord_index(n, src)] += 1
+            row[coord_index(n, dst)] -= 1
+            rows.append(row)
+        elif cmp_entries(X[src], X[dst]) < 0:
+            raise Infeasible(f"inequality {src} >= {dst} violated")
+    for v in system.nonneg:
+        if X[v] == zero:
+            row = [0] * ncols
+            row[coord_index(n, v)] = 1
+            rows.append(row)
+        elif cmp_entries(X[v], zero) < 0:
+            raise Infeasible(f"nonnegativity violated at {v}")
+    return ncols - len(rref(rows, ncols)[1])
+
+
+def random_set_cases(count=800, seed=3):
+    """(C, X, Y) per random relation set C: a C-pattern X, and a pattern Y
+    with entries in [-1, 4] below the top row that need not satisfy C.  Half
+    the Ys share X's top row, so that the weight pins get checked."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        C = random_relation_set(rng)
+        X = random_c_pattern(rng, C, rng.choice((2, 3, 4)))
+        rows = [[rng.randint(-1, 4) for _ in range(k)] for k in range(C.n, 0, -1)]
+        if rng.random() < 0.5:
+            rows[0] = X.row(C.n)
+        yield C, X, Pattern.from_rows(rows)
+
+
+def oracle_outcome(oracle, system, X):
+    try:
+        return oracle(system, X)
+    except Infeasible as exc:
+        return str(exc)
+
+
+def test_oracle_on_random_relation_sets():
+    errors = Counter()
+    for C, X, Y in random_set_cases():
+        dims = tuple(face_dim_oracle(system_at(C, X, which), X)
+                     for which in ("pc", "lambda", "mu"))
+        assert dims == min_face_dims(C, X), (C, X)
+        for which in ("pc", "lambda", "mu"):
+            for plus in (False, True):
+                system = system_at(C, X, which, plus)
+                for P in (X, Y):
+                    got = oracle_outcome(face_dim_oracle, system, P)
+                    assert got == oracle_outcome(reference_face_dim_oracle, system, P), (C, P)
+                    if isinstance(got, str):
+                        errors[got.split(" ")[0]] += 1
+    assert set(errors) == {"top-row", "weight", "inequality", "nonnegativity"}
+    assert min(errors.values()) >= 30
+
+
+def test_kernel_dim_on_random_relation_sets():
+    for C, X, _ in random_set_cases():
+        A = tiling_matrix(C, X)
+        assert kernel_dim(A) == len(kernel(A)), (C, X)
+
+
+def test_oracle_imports_nothing_from_tiling():
+    """The oracle checks the tile counts, so it must not borrow the tile code."""
+    tiling = ast.parse((SRC / "tiling.py").read_text())
+    tiling_names = {node.name for node in tiling.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert {"compute_tiling", "kernel_dim", "min_face_dims"} <= tiling_names
+    for module in ("polyhedra.py", "linalg.py"):
+        for node in ast.walk(ast.parse((SRC / module).read_text())):
+            if isinstance(node, ast.Import):
+                assert not any("tiling" in alias.name.split(".")
+                               for alias in node.names), module
+            elif isinstance(node, ast.ImportFrom):
+                assert "tiling" not in (node.module or "").split("."), module
+                assert not any(alias.name == "tiling" or alias.name in tiling_names
+                               for alias in node.names), module
 
 
 def test_counts_match_weyl_dims():
