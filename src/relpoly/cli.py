@@ -42,18 +42,15 @@ def _read(path):
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_relations(path):
+def _load(kind, path):
+    """The relation set or pattern (kind "relations" or "pattern") in the
+    text or JSON file at path.  The parsers are looked up on fileio at each
+    call, so a wrapper that rebinds them there (perfbench's tracer) sees
+    every call."""
     text = _read(path)
     if text.lstrip().startswith("{"):
-        return fileio.relations_from_json(fileio.load_json(text))
-    return fileio.parse_relations(text)
-
-
-def _load_pattern(path):
-    text = _read(path)
-    if text.lstrip().startswith("{"):
-        return fileio.pattern_from_json(fileio.load_json(text))
-    return fileio.parse_pattern(text)
+        return getattr(fileio, f"{kind}_from_json")(fileio.load_json(text))
+    return getattr(fileio, f"parse_{kind}")(text)
 
 
 def _csv_rationals(text):
@@ -97,8 +94,7 @@ def cmd_gen(args):
     return 0
 
 
-def cmd_check(args):
-    C = _load_relations(args.relations)
+def cmd_check(args, C):
     red = is_reduced(C)
     adm = check_admissible(C)
     out = {
@@ -119,9 +115,7 @@ def cmd_check(args):
     return 0
 
 
-def cmd_tile(args):
-    C = _load_relations(args.relations)
-    X = _load_pattern(args.pattern)
+def cmd_tile(args, C, X):
     tiling = compute_tiling(C, X)
     A = tiling_matrix(C, X, tiling)
     ker = kernel(A)
@@ -142,17 +136,13 @@ def cmd_tile(args):
     return 0
 
 
-def cmd_facedim(args):
-    C = _load_relations(args.relations)
-    X = _load_pattern(args.pattern)
+def cmd_facedim(args, C, X):
     d, s, r = min_face_dims(C, X)
     _emit({"d": d, "s": s, "r": r}, args.format)
     return 0
 
 
-def cmd_enumerate(args):
-    C = _load_relations(args.relations)
-    L = _load_pattern(args.pattern)
+def cmd_enumerate(args, C, L):
     report = is_polytope(C)
     mu = None if args.mu is None else _csv_rationals(args.mu)
     count, points = first_points(C, L, args.limit, mu)
@@ -166,7 +156,7 @@ def cmd_enumerate(args):
     return 0
 
 
-def _parse_generator(spec):
+def _parse_generator(spec, n):
     parts = spec.split()
     if len(parts) != 3 or parts[0] != "E":
         raise ParseError(f"generator spec must be 'E k l', got {spec!r}")
@@ -176,6 +166,8 @@ def _parse_generator(spec):
         raise ParseError(f"bad generator indices in {spec!r}") from None
     if abs(k - l) > 1:
         raise ParseError("generator spec needs |k - l| <= 1")
+    if not (1 <= k <= n and 1 <= l <= n):
+        raise ParseError(f"generator indices in {spec!r} out of range 1..{n}")
     if l == k + 1:
         return (RAISE, k)
     if l == k - 1:
@@ -183,10 +175,8 @@ def _parse_generator(spec):
     return (CARTAN, k)
 
 
-def cmd_act(args):
-    C = _load_relations(args.relations)
-    L = _load_pattern(args.pattern)
-    gen = _parse_generator(args.generator)
+def cmd_act(args, C, L):
+    gen = _parse_generator(args.generator, C.n)
     if args.input == "-":
         text = sys.stdin.read()
     else:
@@ -197,9 +187,7 @@ def cmd_act(args):
     return 0
 
 
-def cmd_commutators(args):
-    C = _load_relations(args.relations)
-    L = _load_pattern(args.pattern)
+def cmd_commutators(args, C, L):
     report = check_commutators(C, L, first_points(C, L, args.limit)[1])
     out = {
         "checked": report.checked,
@@ -229,46 +217,39 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="relpoly")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, func, inputs=(), formats=True, **kwargs):
+        # main loads each input file, in this order, and passes it to func
+        # after args.
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=func)
-        p.add_argument("--format", choices=("json", "text"), default="json")
+        p.set_defaults(func=func, inputs=inputs)
+        if formats:
+            p.add_argument("--format", choices=("json", "text"), default="json")
+        for kind in inputs:
+            p.add_argument(f"--{kind}", required=True)
         return p
 
+    both = ("relations", "pattern")
     p = add("gen", cmd_gen, help="emit a standard relation set")
     p.add_argument("--family", choices=sorted(FAMILIES), required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int, required=True)
 
-    p = add("check", cmd_check, help="structural checks for a relation set")
-    p.add_argument("--relations", required=True)
+    add("check", cmd_check, ("relations",), help="structural checks for a relation set")
+    add("tile", cmd_tile, both, help="tiling report for a pattern")
+    add("facedim", cmd_facedim, both, help="minimal-face dimensions")
 
-    p = add("tile", cmd_tile, help="tiling report for a pattern")
-    p.add_argument("--relations", required=True)
-    p.add_argument("--pattern", required=True)
-
-    p = add("facedim", cmd_facedim, help="minimal-face dimensions")
-    p.add_argument("--relations", required=True)
-    p.add_argument("--pattern", required=True)
-
-    p = add("enumerate", cmd_enumerate, help="integral point enumeration")
-    p.add_argument("--relations", required=True)
-    p.add_argument("--pattern", required=True)
+    p = add("enumerate", cmd_enumerate, both, help="integral point enumeration")
     p.add_argument("--mu")
     p.add_argument("--limit", type=_nonnegative_int)
 
-    p = add("act", cmd_act, help="apply a generator to a combination")
-    p.add_argument("--relations", required=True)
-    p.add_argument("--pattern", required=True)
+    p = add("act", cmd_act, both, formats=False, help="apply a generator to a combination")
     p.add_argument("--generator", required=True, help="'E k l' with |k-l| <= 1")
     p.add_argument("--input", default="-", help="combination JSON file or '-'")
 
-    p = add("commutators", cmd_commutators, help="bracket identity report")
-    p.add_argument("--relations", required=True)
-    p.add_argument("--pattern", required=True)
+    p = add("commutators", cmd_commutators, both, help="bracket identity report")
     p.add_argument("--limit", type=_nonnegative_int)
 
-    p = add("selftest", cmd_selftest, help="seeded verification sweeps")
+    p = add("selftest", cmd_selftest, formats=False, help="seeded verification sweeps")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=_nonnegative_int, default=200)
     return parser
@@ -278,7 +259,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, *(_load(kind, getattr(args, kind)) for kind in args.inputs))
     except ParseError as exc:
         print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}))
         return 2

@@ -65,19 +65,21 @@ def relations_from_json(obj):
         rels = [((i, j), (r, s)) for i, j, r, s in obj["relations"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad relation JSON: {exc}") from exc
+    coords = [x for rel in rels for end in rel for x in end]
+    if not all(type(x) is int for x in [n, *coords]):
+        raise ParseError("bad relation JSON: n and the coordinates must be integers")
     return RelationSet(n, rels)
 
 
 def _parse_entry(tok, labels):
-    if _LABEL_RE.match(tok) and not re.match(r"^-?\d", tok):
-        m = _LABEL_RE.match(tok)
-        name, off = m.group(1), m.group(2) or "0"
-        if name not in labels:
-            raise ParseError(f"unknown label {name!r} (missing sidecar line?)")
-        lo, hi = labels[name]
-        return Entry.labeled(name, lo, hi, Fraction(off))
+    m = _LABEL_RE.match(tok)
+    if m and m.group(1) not in labels:
+        raise ParseError(f"unknown label {m.group(1)!r} (missing sidecar line?)")
     try:
-        return Entry.rational(Fraction(tok))
+        if m is None:
+            return Entry.rational(Fraction(tok))
+        name, offset = m.groups()
+        return Entry.labeled(name, *labels[name], Fraction(offset or 0))
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad entry token {tok!r}") from None
 
@@ -87,6 +89,14 @@ def _parse_decimal(tok):
         return Fraction(tok)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad number {tok!r}") from None
+
+
+def _enclosure(lo, hi, where):
+    """A label's enclosure (lo, hi) as rationals, with lo <= hi."""
+    enclosure = _parse_decimal(lo), _parse_decimal(hi)
+    if enclosure[0] > enclosure[1]:
+        raise ParseError(f"{where}: empty enclosure, {lo} > {hi}")
+    return enclosure
 
 
 def parse_pattern(text):
@@ -102,7 +112,7 @@ def parse_pattern(text):
             parts = rest.split()
             if not _LABEL_RE.match(name) or len(parts) != 2:
                 raise ParseError(f"line {lineno}: expected 'name = <lo> <hi>'")
-            enclosure = (_parse_decimal(parts[0]), _parse_decimal(parts[1]))
+            enclosure = _enclosure(*parts, f"line {lineno}")
             if labels.setdefault(name, enclosure) != enclosure:
                 raise ParseError(f"line {lineno}: second, different enclosure of {name!r}")
         else:
@@ -146,14 +156,18 @@ def pattern_to_json(X):
 
 def pattern_from_json(obj):
     try:
-        n = obj["n"]
-        toks = obj["entries"]
+        n, toks, labels = obj["n"], obj["entries"], obj.get("labels", {})
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad pattern JSON: {exc}") from exc
-    labels = {
-        name: (_parse_decimal(lo), _parse_decimal(hi))
-        for name, (lo, hi) in obj.get("labels", {}).items()
-    }
+    if type(n) is not int or n < 1:
+        raise ParseError(f"bad pattern JSON: n must be a positive integer, got {n!r}")
+    if not (isinstance(toks, list) and all(isinstance(t, str) for t in toks)):
+        raise ParseError("bad pattern JSON: entries must be a list of strings")
+    if not (isinstance(labels, dict) and all(
+            isinstance(v, list) and len(v) == 2 and all(isinstance(x, str) for x in v)
+            for v in labels.values())):
+        raise ParseError("bad pattern JSON: labels must map each name to [lo, hi] strings")
+    labels = {name: _enclosure(lo, hi, f"label {name!r}") for name, (lo, hi) in labels.items()}
     entries = [_parse_entry(t, labels) for t in toks]
     if len(entries) != n * (n + 1) // 2:
         raise ParseError("wrong number of entries for n")
@@ -176,7 +190,7 @@ def lincomb_from_json(obj):
             (pattern_from_json(t["pattern"]), Fraction(t["coeff"]))
             for t in obj["terms"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ParseError(f"bad combination JSON: {exc}") from exc
     return LinComb.build(items)
 

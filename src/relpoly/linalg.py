@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals: reduced row echelon, rank, nullspace.
 
 Elimination works on sparse integer rows, dicts from column to a nonzero int.
-`sparse_rank` takes such rows; `rref`, `rank` and `nullspace` convert each
-dense input row once.  Each row is scaled to coprime integers.  It is then
+`sparse_rank` takes such rows; `rref` and `nullspace` convert each dense
+input row once.  Each row is scaled to coprime integers.  It is then
 reduced against an echelon basis keyed by leading column: cross-multiply to
 clear the leading entry, then divide out the content (the gcd of the
 entries), which leaves no remainder.  This is fraction-free elimination (see
@@ -107,11 +107,6 @@ def rref(rows, ncols):
             dense[c] = Fraction(x, lead)
         out.append(dense)
     return out, pivots
-
-
-def rank(rows, ncols):
-    """Rank of the dense rows, each of exactly `ncols` entries."""
-    return len(_echelon(_integer_row(row, ncols) for row in rows))
 
 
 def sparse_rank(rows):

@@ -99,36 +99,36 @@ def _row_denominator(k, m, i, D):
     return den
 
 
+def _act_step(k, M, other):
+    """The raising (other = k+1) or lowering (other = k-1) generator.  Entry
+    (k,i) moves by delta = other - k, with coefficient -delta times the
+    product over row other of m_i - o_j + j - i, over the product over
+    j != i of m_i - m_j + j - i."""
+    _require_rational_rows(M, (k, other))
+    D, m, o = _scaled_rows(M, k, other)
+    delta = other - k
+    scale = D ** (delta + 1)  # other factors over k - 1: D**2 too large for a raise
+    items = []
+    for i in range(1, k + 1):
+        num = prod(m[i - 1] - o[j - 1] + (j - i) * D for j in range(1, other + 1))
+        den = _row_denominator(k, m, i, D)
+        if num:
+            items.append((M.shifted(k, i, delta), Fraction(-delta * num, den * scale)))
+    return LinComb.build(items)
+
+
 def act_raise(k, M):
     """Raising generator between rows k and k+1."""
     if not 1 <= k <= M.n - 1:
         raise ValueError(f"raise index {k} out of range 1..{M.n - 1}")
-    _require_rational_rows(M, (k, k + 1))
-    D, m, above = _scaled_rows(M, k, k + 1)
-    items = []
-    for i in range(1, k + 1):
-        # k + 1 factors over k - 1: the ratio is D**2 too large.
-        num = prod(m[i - 1] - above[j - 1] + (j - i) * D for j in range(1, k + 2))
-        den = _row_denominator(k, m, i, D)
-        if num:
-            items.append((M.shifted(k, i, 1), Fraction(-num, den * D * D)))
-    return LinComb.build(items)
+    return _act_step(k, M, k + 1)
 
 
 def act_lower(k, M):
     """Lowering generator between rows k+1 and k."""
     if not 1 <= k <= M.n - 1:
         raise ValueError(f"lower index {k} out of range 1..{M.n - 1}")
-    _require_rational_rows(M, (k - 1, k))
-    D, m, below = _scaled_rows(M, k, k - 1)
-    items = []
-    for i in range(1, k + 1):
-        # k - 1 factors over k - 1: the scales cancel.
-        num = prod(m[i - 1] - below[j - 1] + (j - i) * D for j in range(1, k))
-        den = _row_denominator(k, m, i, D)
-        if num:
-            items.append((M.shifted(k, i, -1), Fraction(num, den)))
-    return LinComb.build(items)
+    return _act_step(k, M, k - 1)
 
 
 def act_cartan(k, M):

@@ -50,10 +50,11 @@ class RelationSet:
     def __post_init__(self):
         if not (isinstance(self.n, int) and self.n >= 1):
             raise InvalidRelation(f"n must be a positive integer, got {self.n!r}")
-        rels = sorted({(tuple(src), tuple(dst)) for src, dst in self.relations})
+        # Classified first, so that only pairs of int pairs are hashed and sorted.
+        rels = [(tuple(src), tuple(dst)) for src, dst in self.relations]
         for src, dst in rels:
             relation_class(src, dst, self.n)
-        object.__setattr__(self, "relations", tuple(rels))
+        object.__setattr__(self, "relations", tuple(sorted(set(rels))))
 
     def __iter__(self):
         return iter(self.relations)
@@ -250,26 +251,18 @@ def check_admissible(C):
                 reason=f"crossing arrows between rows {k} and {k + 1}",
             )
     rels = set(C.relations)
-    for (ki, kj) in adjoining_pairs(C):
-        k, i = ki
-        j = kj[1]
-        covered = False
-        for p in range(1, k + 2):
-            if ((k, i), (k + 1, p)) in rels and ((k + 1, p), (k, j)) in rels:
-                for q in range(1, k):
-                    if ((k, i), (k - 1, q)) in rels and ((k - 1, q), (k, j)) in rels:
-                        covered = True
-                        break
-            if covered:
-                break
-        if not covered:
-            for s in range(1, k + 2):
-                for t in range(s + 1, k + 2):
-                    if ((k, i), (k + 1, s)) in rels and ((k + 1, t), (k, j)) in rels:
-                        covered = True
-                        break
-                if covered:
-                    break
+    for ki, kj in adjoining_pairs(C):
+        k = ki[0]
+
+        def through(row):
+            return any((ki, (row, p)) in rels and ((row, p), kj) in rels
+                       for p in range(1, row + 1))
+
+        # A diamond through both rows, or an ordered pair of arrows into row
+        # k+1 and back.
+        covered = through(k + 1) and through(k - 1) or any(
+            (ki, (k + 1, s)) in rels and ((k + 1, t), kj) in rels
+            for s in range(1, k + 2) for t in range(s + 1, k + 2))
         if not covered:
             return AdmissibilityResult("not_admissible", witness=(ki, kj))
     return AdmissibilityResult("admissible")

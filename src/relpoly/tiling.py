@@ -95,8 +95,8 @@ def kernel(A):
 
 def kernel_dim(A):
     """len(kernel(A)): the number of columns minus the rank."""
-    ncols = _width(A)
-    return ncols - linalg.rank(A.entries, ncols)
+    rows = [{c: x for c, x in enumerate(row) if x} for row in A.entries]
+    return _width(A) - linalg.sparse_rank(rows)
 
 
 def min_face_dims(C, X):

@@ -1,6 +1,8 @@
 """End-to-end CLI behaviour: outputs, determinism, and exit codes."""
 
 import json
+import random
+from collections import Counter
 
 import pytest
 
@@ -325,3 +327,167 @@ def test_selftest_smoke(capsys):
     assert "commutators C1 lambda=(4, 3, 2, 1, 0): 1024 vectors, 0 failures" in out
     code2, out2 = run(capsys, "selftest", "--seed", "1", "--count", "25")
     assert code2 == 0
+
+
+PATTERN_TEXT = "2 1 0\n1 0\n0\n"
+VECTOR = {"terms": [{"coeff": "1", "pattern": {"n": 3, "entries": ["2", "1", "0", "1", "0", "0"]}}]}
+
+
+# name -> (the input it replaces, its text, a part of the error message).
+# The generator is not a file: its "text" is the --generator spec.
+MALFORMED = {
+    "pattern-n-str": ("pattern", '{"n": "x", "entries": []}', "n must be a positive integer, got 'x'"),
+    "pattern-n-dict": ("pattern", '{"n": {}, "entries": []}', "n must be a positive integer, got {}"),
+    "pattern-n-list": ("pattern", '{"n": [], "entries": []}', "n must be a positive integer, got []"),
+    "pattern-n-0": ("pattern", '{"n": 0, "entries": []}', "n must be a positive integer, got 0"),
+    "pattern-n-neg": ("pattern", '{"n": -1, "entries": ["1"]}', "n must be a positive integer, got -1"),
+    "pattern-entries-str": ("pattern", '{"n": 2, "entries": "100"}', "entries must be a list of strings"),
+    "pattern-entries-int": ("pattern", '{"n": 1, "entries": [1]}', "entries must be a list of strings"),
+    "pattern-label-short": ("pattern", '{"n": 1, "entries": ["a"], "labels": {"a": ["1"]}}',
+                            "labels must map"),
+    "pattern-labels-list": ("pattern", '{"n": 1, "entries": ["a"], "labels": ["a"]}', "labels must map"),
+    "pattern-json-empty-enclosure": (
+        "pattern", '{"n": 1, "entries": ["a"], "labels": {"a": ["1.42", "1.41"]}}',
+        "label 'a': empty enclosure, 1.42 > 1.41"),
+    "pattern-text-empty-enclosure": ("pattern", "sqrt2 1 0\nsqrt2-1 0\n0\nsqrt2 = 1.42 1.41\n",
+                                     "line 4: empty enclosure, 1.42 > 1.41"),
+    "pattern-label-offset": ("pattern", "a+1/0 1 0\n1 0\n0\na = 1 2\n", "bad entry token 'a+1/0'"),
+    "relations-list-coordinate": ("relations", '{"n": 3, "relations": [[2, 1, 1, [1]]]}',
+                                  "coordinates must be integers"),
+    "relations-str-coordinate": ("relations", '{"n": 3, "relations": [[2, 1, 1, 1], [2, "1", 1, 1]]}',
+                                 "coordinates must be integers"),
+    "input-coeff-1/0": ("input", json.dumps({"terms": [dict(VECTOR["terms"][0], coeff="1/0")]}),
+                        "bad combination JSON"),
+    **{f"generator-{spec}": ("generator", spec, f"generator indices in {spec!r} out of range 1..3")
+       for spec in ("E 0 1", "E 3 4", "E 0 0", "E 4 4")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_inputs_are_parse_errors(capsys, tmp_path, case):
+    kind, text, message = MALFORMED[case]
+    inputs = {"relations": fileio.dump_relations(standard_set(3, 1, "both")),
+              "pattern": PATTERN_TEXT, "input": json.dumps(VECTOR), "generator": "E 1 2"}
+    inputs[kind] = text
+    argv = ["act", "--generator", inputs.pop("generator")]
+    for name, content in inputs.items():
+        path = tmp_path / name
+        path.write_text(content)
+        argv += [f"--{name}", str(path)]
+    code, out = run(capsys, *argv)
+    error = json.loads(out)["error"]
+    assert (code, error["code"]) == (2, "parse_error"), error
+    assert message in error["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["act", "--relations", "c.rel", "--pattern", "l.pat", "--generator", "E 1 2"],
+    ["selftest"],
+], ids=["act", "selftest"])
+def test_format_only_where_it_is_honoured(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "text"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format text" in capsys.readouterr().err
+
+
+# Seeds and mutations of the fuzz test below.
+FUZZ_RELATIONS = ["n 3\n2 1 -> 1 1\n2 2 -> 1 1\n1 1 -> 2 2\n3 1 -> 2 1\n2 1 -> 3 2\n",
+                  {"n": 3, "relations": [[2, 1, 1, 1], [1, 1, 2, 2], [3, 2, 2, 2]]}]
+FUZZ_PATTERNS = [PATTERN_TEXT, "a 1 0\na-1 0\n0\na = 1.41 1.42\n",
+                 {"n": 3, "entries": ["2", "1", "0", "1", "0", "0"]},
+                 {"n": 2, "entries": ["a", "0", "a-1"], "labels": {"a": ["1.41", "1.42"]}}]
+FUZZ_INPUTS = [{"terms": VECTOR["terms"] + [
+    {"coeff": "-1/2", "pattern": {"n": 3, "entries": ["2", "1", "0", "2", "0", "1"]}}]}]
+FUZZ_TOKENS = ["-1", "0", "1", "2", "3", "x", "1/0", "1/2", "a", "a+1", "->", "=", "n", "{", "#"]
+FUZZ_VALUES = [-1, 0, 1, 3, 1.5, True, None, float("inf"), "x", "1/0", "1/2", "a", "a+1/0",
+               [], {}, [1], ["1", "0"], {"a": ["1", "2"]}, {"a": ["2", "1"]}]
+
+
+def mutate_text(rng, text):
+    """One to three token or line edits."""
+    lines = text.splitlines() or [""]
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        op = rng.randrange(5)
+        if op == 3:
+            lines.insert(i, lines[i])
+            continue
+        if op == 4 and len(lines) > 1:
+            del lines[i]
+            continue
+        toks = lines[i].split()
+        if op == 2 or not toks:
+            toks.insert(rng.randint(0, len(toks)), rng.choice(FUZZ_TOKENS))
+        elif op == 1:
+            del toks[rng.randrange(len(toks))]
+        else:
+            toks[rng.randrange(len(toks))] = rng.choice(FUZZ_TOKENS)
+        lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+def mutate_json(rng, obj):
+    """One edit of a copy of obj: a value replaced, deleted or added."""
+    obj = json.loads(json.dumps(obj))
+    spots = []
+    stack = [obj]
+    while stack:
+        node = stack.pop()
+        keys = node if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            spots.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                stack.append(node[key])
+    value = json.loads(json.dumps(rng.choice(FUZZ_VALUES)))
+    node, key = rng.choice(spots)
+    op = rng.randrange(3)
+    if op == 0:
+        node[key] = value
+    elif op == 1:
+        del node[key]
+    elif isinstance(node, list):
+        node.append(value)
+    else:
+        node[rng.choice(["n", "entries", "labels", "relations", "terms", "coeff"])] = value
+    return obj
+
+
+def fuzz_file(rng, seeds, mutate):
+    seed = rng.choice(seeds)
+    if isinstance(seed, str):
+        return mutate_text(rng, seed) if mutate else seed
+    if mutate and rng.random() < 0.85:
+        seed = mutate_json(rng, seed)
+    text = json.dumps(seed)
+    return mutate_text(rng, text) if mutate and rng.random() < 0.15 else text
+
+
+def test_fuzzed_files_end_in_typed_errors(capsys, tmp_path):
+    """Mutated relation, pattern and combination files, text and JSON, through
+    every subcommand that reads files: every run exits 0, 1 or 2, and no
+    error is an internal one."""
+    rng = random.Random(12)
+    codes = Counter()
+    for _ in range(300):
+        target = rng.choice(("relations", "pattern", "input"))
+        commands = ["act"] if target == "input" else ["tile", "facedim", "enumerate",
+                                                      "commutators", "act"]
+        command = rng.choice(commands + ["check"] * (target == "relations"))
+        files = {"relations": fuzz_file(rng, FUZZ_RELATIONS, target == "relations")}
+        if command != "check":
+            files["pattern"] = fuzz_file(rng, FUZZ_PATTERNS, target == "pattern")
+        argv = [command]
+        if command == "act":
+            files["input"] = fuzz_file(rng, FUZZ_INPUTS, target == "input")
+            argv += ["--generator", rng.choice(("E 1 2", "E 2 1", "E 2 2", "E 2 3"))]
+        for name, text in files.items():
+            path = tmp_path / name
+            path.write_text(text)
+            argv += [f"--{name}", str(path)]
+        code, out = run(capsys, *argv)
+        codes[code] += 1
+        assert code in (0, 1, 2), (files, out)
+        if code:
+            assert json.loads(out)["error"]["code"] != "internal", (files, out)
+    assert min(codes[0], codes[1]) >= 10 and codes[2] >= 100, codes

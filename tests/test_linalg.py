@@ -6,7 +6,7 @@ from math import lcm
 
 import pytest
 
-from relpoly.linalg import nullspace, rank, rref, sparse_rank
+from relpoly.linalg import nullspace, rref, sparse_rank
 
 
 def reference_rref(rows, ncols):
@@ -90,7 +90,6 @@ def test_matches_reference_on_random_matrices():
         assert got_pivots == want_pivots
         assert got_rows == want_rows
         assert all(type(x) is Fraction for row in got_rows for x in row)
-        assert rank(rows, ncols) == len(want_pivots)
         sparse = sparse_int_rows(rows)
         before = [list(row.items()) for row in sparse]
         assert sparse_rank(sparse) == len(want_pivots)
@@ -123,7 +122,6 @@ def test_empty_and_zero_inputs():
     assert rref([], 3) == ([], [])
     assert rref([[0, 0, 0], [0, 0, 0]], 3) == ([], [])
     assert rref([[], []], 0) == ([], [])
-    assert rank([[0, 0]], 2) == 0
     assert sparse_rank([]) == sparse_rank([{}]) == 0
     assert nullspace([], 2) == [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
 
@@ -139,7 +137,5 @@ def test_input_rows_are_not_modified():
 def test_rows_of_the_wrong_width_raise(width):
     with pytest.raises(ValueError, match="expected 2"):
         rref([[1, 0], [0] * width], 2)
-    with pytest.raises(ValueError):
-        rank([[1] * width], 2)
     with pytest.raises(ValueError):
         nullspace([[1] * width], 2)

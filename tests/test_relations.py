@@ -4,6 +4,7 @@ import gc
 import random
 import weakref
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -12,6 +13,7 @@ from relpoly.patterns import constant_pattern
 from relpoly.polyhedra import enumerate_integral
 from relpoly.relations import (
     ZERO,
+    AdmissibilityResult,
     ReducedReport,
     RelationSet,
     adjoining_pairs,
@@ -52,6 +54,15 @@ def test_relation_set_dedup_and_sort():
     C = RelationSet(3, [((2, 1), (1, 1)), ((2, 1), (1, 1)), ((1, 1), (2, 2))])
     assert len(C.relations) == 2
     assert C.relations == (((1, 1), (2, 2)), ((2, 1), (1, 1)))
+
+
+@pytest.mark.parametrize("rels", [
+    [((2, 1), (1, [1]))],
+    [((2, 1), (1, 1)), ((2, "1"), (1, 1))],
+], ids=["list-coordinate", "int-and-str"])
+def test_relation_set_classifies_before_it_sorts(rels):
+    with pytest.raises(InvalidRelation, match="invalid endpoint"):
+        RelationSet(3, rels)
 
 
 def test_standard_set_c1_plus_n4():
@@ -357,3 +368,80 @@ def test_structural_checks_match_references():
         assert structural_noncritical(C) == ref_structural_noncritical(C, reach), C
     assert min(statuses[s] for s in ("admissible", "not_admissible", "inapplicable")) >= 30
     assert reasons["not reduced"] >= 30 and reasons["directed cycle"] >= 30
+
+
+def reference_check_admissible(C):
+    """check_admissible as it was with a covering loop per row: the diamond
+    through rows k+1 and k-1, then the ordered pair into row k+1 and back."""
+    red = is_reduced(C)
+    if not red.ok:
+        return AdmissibilityResult("inapplicable", reason="not reduced")
+    reach = C.reach
+    if any(src in reach[dst] for src, dst in C):
+        return AdmissibilityResult("inapplicable", reason="directed cycle")
+    for k in range(1, C.n + 1):
+        for i in range(1, k + 1):
+            for j in range(1, i):
+                if (k, j) in reach[(k, i)]:
+                    return AdmissibilityResult(
+                        "inapplicable",
+                        reason=f"same-row reachability ({k},{i}) to ({k},{j}) with {i} > {j}",
+                    )
+    arcs = set()
+    for src, dst in C:
+        if abs(src[0] - dst[0]) == 1:
+            low, high = (src, dst) if src[0] < dst[0] else (dst, src)
+            arcs.add((low, high))
+    between = {}
+    for (k, i), (_, t) in arcs:
+        between.setdefault(k, []).append((i, t))
+    for (k, i), (_, t) in arcs:
+        if any(j > i and s < t for j, s in between[k]):
+            return AdmissibilityResult(
+                "inapplicable",
+                reason=f"crossing arrows between rows {k} and {k + 1}",
+            )
+    rels = set(C.relations)
+    for (ki, kj) in adjoining_pairs(C):
+        k, i = ki
+        j = kj[1]
+        covered = False
+        for p in range(1, k + 2):
+            if ((k, i), (k + 1, p)) in rels and ((k + 1, p), (k, j)) in rels:
+                for q in range(1, k):
+                    if ((k, i), (k - 1, q)) in rels and ((k - 1, q), (k, j)) in rels:
+                        covered = True
+                        break
+            if covered:
+                break
+        if not covered:
+            for s in range(1, k + 2):
+                for t in range(s + 1, k + 2):
+                    if ((k, i), (k + 1, s)) in rels and ((k + 1, t), (k, j)) in rels:
+                        covered = True
+                        break
+                if covered:
+                    break
+        if not covered:
+            return AdmissibilityResult("not_admissible", witness=(ki, kj))
+    return AdmissibilityResult("admissible")
+
+
+def test_check_admissible_matches_reference():
+    # Every n=3 set of at most 6 of the 16 plus and minus arcs (14893 sets),
+    # which holds all 190 admissible and all 80 not admissible sets of the
+    # 2**16, then the 800 sets of the structural sweep above.
+    arcs = [arc for k in (1, 2) for a in range(1, k + 2) for b in range(1, k + 1)
+            for arc in (((k + 1, a), (k, b)), ((k, b), (k + 1, a)))]
+    sets = [RelationSet(3, chosen) for size in range(7) for chosen in combinations(arcs, size)]
+    statuses = Counter()
+    for C in sets:
+        result = check_admissible(C)
+        assert result == reference_check_admissible(C), C
+        statuses[result.status] += 1
+    assert len(sets) == 14893
+    assert (statuses["admissible"], statuses["not_admissible"]) == (190, 80)
+    rng = random.Random(3)
+    for _ in range(800):
+        C = random_relation_set(rng)
+        assert check_admissible(C) == reference_check_admissible(C), C
