@@ -16,6 +16,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
+from .modaction import LinComb
 from .patterns import Entry, Pattern
 from .relations import RelationSet
 
@@ -37,6 +38,8 @@ def parse_relations(text):
                 n = int(parts[1])
             except ValueError:
                 raise ParseError(f"line {lineno}: bad n {parts[1]!r}") from None
+            if n < 1:
+                raise ParseError(f"line {lineno}: n must be a positive integer, got {n}")
             continue
         m = re.match(r"^(\d+)\s+(\d+)\s*->\s*(\d+)\s+(\d+)$", line)
         if not m:
@@ -68,6 +71,8 @@ def relations_from_json(obj):
     coords = [x for rel in rels for end in rel for x in end]
     if not all(type(x) is int for x in [n, *coords]):
         raise ParseError("bad relation JSON: n and the coordinates must be integers")
+    if n < 1:
+        raise ParseError(f"bad relation JSON: n must be a positive integer, got {n}")
     return RelationSet(n, rels)
 
 
@@ -183,8 +188,6 @@ def lincomb_to_json(v):
 
 
 def lincomb_from_json(obj):
-    from .modaction import LinComb
-
     try:
         items = [
             (pattern_from_json(t["pattern"]), Fraction(t["coeff"]))

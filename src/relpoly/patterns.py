@@ -17,6 +17,7 @@ from .errors import (
     NonRationalWeight,
     SizeMismatch,
 )
+from .relations import _same_row_pairs
 
 # Default enclosure width for labeled entries: 2**-64.
 ENCLOSURE_BITS = 64
@@ -275,63 +276,52 @@ def satisfies(C, L):
 
 def is_realization(C, L):
     """satisfies C, and same-row integer differences match components."""
-    from .relations import connected_components
-
     if not satisfies(C, L):
         return False
-    blocks = connected_components(C)
-    block_of = {v: idx for idx, b in enumerate(blocks) for v in b}
-    for k in range(1, L.n):
-        for i in range(1, k + 1):
-            for j in range(i + 1, k + 1):
-                same = block_of[(k, i)] == block_of[(k, j)]
-                if L[(k, i)].integer_diff(L[(k, j)]) != same:
-                    return False
-    return True
+    return all(L[(k, i)].integer_diff(L[(k, j)]) == joined
+               for k, i, j, joined in _same_row_pairs(C))
 
 
 def noncritical_at(C, M):
-    """No zero of m_ki - m_kj + j - i within a component, below the top row."""
-    from .relations import connected_components
-
+    """No zero of m_ki - m_kj + j - i within a component, below the top row.
+    The zero set is symmetric in i and j, so the pairs i < j suffice."""
     _check_sizes(C, M)
-    for block in connected_components(C):
-        for k in range(1, M.n):
-            cols = sorted(v[1] for v in block if v[0] == k)
-            for i in cols:
-                for j in cols:
-                    if i == j:
-                        continue
-                    d = M[(k, i)].diff(M[(k, j)])
-                    if d is not None and d + j - i == 0:
-                        return False
+    for k, i, j, joined in _same_row_pairs(C):
+        if joined:
+            d = M[(k, i)].diff(M[(k, j)])
+            if d is not None and d + j - i == 0:
+                return False
     return True
+
+
+def _offset_sum(plus, minus=()):
+    """Sum of the offsets of the entries plus minus those of minus, summed as
+    ints over their common denominator."""
+    den = lcm(*(e.offset.denominator for e in (*plus, *minus)))
+    num = sum(e.offset.numerator * (den // e.offset.denominator) for e in plus)
+    num -= sum(e.offset.numerator * (den // e.offset.denominator) for e in minus)
+    return Fraction(num, den)
 
 
 def row_sum(X, k):
     if not 1 <= k <= X.n:
         raise ValueError(f"row {k} out of range")
-    total = Fraction(0)
-    for e in X.row(k):
+    row = X.row(k)
+    for e in row:
         if not e.is_rational:
             raise NonRationalWeight(f"labeled entry {e} in row {k}")
-        total += e.offset
-    return total
+    return _offset_sum(row)
 
 
 def weight(X, k):
-    """w_k = R_k - R_{k-1}; labels must cancel between the two rows.  Summed
-    as ints over the common denominator of the offsets."""
+    """w_k = R_k - R_{k-1}; labels must cancel between the two rows."""
     if not 1 <= k <= X.n:
         raise ValueError(f"row {k} out of range")
     row = X.row(k)
     below = [] if k == 1 else X.row(k - 1)
     if sorted(e.label for e in row if e.label) != sorted(e.label for e in below if e.label):
         raise NonRationalWeight(f"labels do not cancel in weight {k}")
-    den = lcm(*(e.offset.denominator for e in row + below))
-    num = sum(e.offset.numerator * (den // e.offset.denominator) for e in row)
-    num -= sum(e.offset.numerator * (den // e.offset.denominator) for e in below)
-    return Fraction(num, den)
+    return _offset_sum(row, below)
 
 
 def weight_vector(X):

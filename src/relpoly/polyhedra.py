@@ -109,13 +109,12 @@ def is_polytope(C):
 
 
 def _relation_bounds(C):
-    """Per vertex, neighbors that bound it: (uppers, lowers) vertex lists."""
+    """Per vertex, neighbors that bound it: (uppers, lowers) vertex lists.
+    The lowers (x_src >= x_dst) are C's successor lists."""
     uppers = {v: [] for v in vertices(C.n)}
-    lowers = {v: [] for v in vertices(C.n)}
     for src, dst in C:
         uppers[dst].append(src)  # x_dst <= x_src
-        lowers[src].append(dst)  # x_src >= x_dst
-    return uppers, lowers
+    return uppers, C._succ
 
 
 def _arcs_above(C):

@@ -63,13 +63,19 @@ class RelationSet:
         return len(self.relations)
 
     @cached_property
-    def reach(self):
-        """Directed reachability closure, computed once on first use: vertex ->
-        frozenset of the vertices it reaches by a path, itself included."""
+    def _succ(self):
+        """Successor lists, built once on first use: vertex -> tuple of the
+        targets of its relations, in relation order."""
         succ = {v: [] for v in vertices(self.n)}
         for src, dst in self.relations:
             succ[src].append(dst)
-        return {v: frozenset(_reachable(succ, v)) for v in vertices(self.n)}
+        return {v: tuple(dsts) for v, dsts in succ.items()}
+
+    @cached_property
+    def reach(self):
+        """Directed reachability closure, computed once on first use: vertex ->
+        frozenset of the vertices it reaches by a path, itself included."""
+        return {v: frozenset(_reachable(self._succ, v)) for v in self._succ}
 
 
 def _reachable(succ, start, skip=None):
@@ -149,6 +155,14 @@ def connected_components(C):
     return _union_find_blocks(C.n, C)
 
 
+def _same_row_pairs(C):
+    """(k, i, j, joined) for every row k below the top and columns i < j,
+    where joined tells whether (k,i) and (k,j) share a connected component."""
+    block_of = {v: idx for idx, b in enumerate(connected_components(C)) for v in b}
+    return [(k, i, j, block_of[(k, i)] == block_of[(k, j)])
+            for k in range(1, C.n) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+
+
 @dataclass(frozen=True)
 class ReducedReport:
     ok: bool
@@ -162,12 +176,10 @@ def is_reduced(C):
     after removing the relation itself.
     """
     degree = Counter()
-    succ = {v: [] for v in vertices(C.n)}
     for src, dst in C:
         step = dst[0] - src[0]  # +1 up, -1 down, 0 along the top row
         degree[src, "out", step] += 1
         degree[dst, "in", -step] += 1
-        succ[src].append(dst)
     violations = [
         (code, v)
         for v in sorted(support(C))
@@ -177,7 +189,7 @@ def is_reduced(C):
     ]
     for rel in C:
         src, dst = rel
-        if relation_class(src, dst, C.n) == ZERO and dst in _reachable(succ, src, skip=dst):
+        if src[0] == dst[0] and dst in _reachable(C._succ, src, skip=dst):
             violations.append(("redundant_top_relation", rel))
     return ReducedReport(not violations, tuple(violations))
 
@@ -283,11 +295,5 @@ def structural_noncritical(C):
     """Sufficient test: "yes" if every same-row pair sharing a component is
     reachability-ordered left to right (below the top row); else "unknown"."""
     reach = C.reach
-    for block in connected_components(C):
-        for k in range(1, C.n):
-            row = sorted(v[1] for v in block if v[0] == k)
-            for a in range(len(row)):
-                for b in range(a + 1, len(row)):
-                    if (k, row[b]) not in reach[(k, row[a])]:
-                        return "unknown"
-    return "yes"
+    ordered = all(not joined or (k, j) in reach[(k, i)] for k, i, j, joined in _same_row_pairs(C))
+    return "yes" if ordered else "unknown"

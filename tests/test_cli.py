@@ -352,6 +352,10 @@ MALFORMED = {
     "pattern-text-empty-enclosure": ("pattern", "sqrt2 1 0\nsqrt2-1 0\n0\nsqrt2 = 1.42 1.41\n",
                                      "line 4: empty enclosure, 1.42 > 1.41"),
     "pattern-label-offset": ("pattern", "a+1/0 1 0\n1 0\n0\na = 1 2\n", "bad entry token 'a+1/0'"),
+    "relations-n-0": ("relations", "n 0\n", "line 1: n must be a positive integer, got 0"),
+    "relations-n-neg": ("relations", "n -2\n", "line 1: n must be a positive integer, got -2"),
+    "relations-json-n-0": ("relations", '{"n": 0, "relations": []}',
+                           "bad relation JSON: n must be a positive integer, got 0"),
     "relations-list-coordinate": ("relations", '{"n": 3, "relations": [[2, 1, 1, [1]]]}',
                                   "coordinates must be integers"),
     "relations-str-coordinate": ("relations", '{"n": 3, "relations": [[2, 1, 1, 1], [2, "1", 1, 1]]}',
@@ -378,6 +382,16 @@ def test_malformed_inputs_are_parse_errors(capsys, tmp_path, case):
     error = json.loads(out)["error"]
     assert (code, error["code"]) == (2, "parse_error"), error
     assert message in error["message"]
+
+
+def test_enumerate_mu_on_a_labeled_top_row(capsys, tmp_path):
+    relations, pattern = tmp_path / "c.rel", tmp_path / "l.pat"
+    relations.write_text("n 3\n")
+    pattern.write_text("a 1 0\na-1 0\n0\na = 1.41 1.42\n")
+    code, out = run(capsys, "enumerate", "--relations", str(relations),
+                    "--pattern", str(pattern), "--mu", "1,1,1")
+    assert (code, out) == (1, '{"error": {"code": "non_rational_weight", '
+                               '"message": "labeled entry a in row 3"}}\n')
 
 
 @pytest.mark.parametrize("argv", [

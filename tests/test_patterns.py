@@ -6,6 +6,7 @@ import pickle
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +29,8 @@ from relpoly.patterns import (
     weight_vector,
 )
 from relpoly.polyhedra import enumerate_integral
-from relpoly.relations import RelationSet, standard_set
+from relpoly.relations import RelationSet, connected_components, standard_set
+from test_relations import random_relation_set
 
 EX_C = RelationSet(4, [((2, 1), (1, 1)), ((2, 1), (3, 2)),
                        ((1, 1), (2, 2)), ((3, 2), (2, 2))])
@@ -324,6 +326,64 @@ def test_noncritical_at():
     assert not noncritical_at(C1, Pattern.from_rows([[2, 1, 0], [1, 2], [1]]))
     assert noncritical_at(standard_set(3, 3, "both"),
                           Pattern.from_rows([[2, 1, 0], [1, 2], [1]]))
+
+
+def ref_is_realization(C, L):
+    """Reference for is_realization: a nested loop over each row's pairs i < j."""
+    if not satisfies(C, L):
+        return False
+    blocks = connected_components(C)
+    block_of = {v: idx for idx, b in enumerate(blocks) for v in b}
+    for k in range(1, L.n):
+        for i in range(1, k + 1):
+            for j in range(i + 1, k + 1):
+                same = block_of[(k, i)] == block_of[(k, j)]
+                if L[(k, i)].integer_diff(L[(k, j)]) != same:
+                    return False
+    return True
+
+
+def ref_noncritical_at(C, M):
+    """Reference for noncritical_at: ordered column pairs, component by component."""
+    for block in connected_components(C):
+        for k in range(1, M.n):
+            cols = sorted(v[1] for v in block if v[0] == k)
+            for i in cols:
+                for j in cols:
+                    if i == j:
+                        continue
+                    d = M[(k, i)].diff(M[(k, j)])
+                    if d is not None and d + j - i == 0:
+                        return False
+    return True
+
+
+def test_realization_and_noncriticality_match_references():
+    rng = random.Random(3)
+    values = [Entry.rational(x) for x in (0, 1, 2, -1, Fraction(1, 2), Fraction(3, 2))]
+    values += [Entry.sqrt(2, offset) for offset in (0, 1, -1)]
+    outcomes = Counter()
+    for _ in range(3000):
+        C = random_relation_set(rng)
+        X = Pattern(C.n, tuple(rng.choice(values) for _ in range(C.n * (C.n + 1) // 2)))
+        realization, noncritical = is_realization(C, X), noncritical_at(C, X)
+        assert realization == ref_is_realization(C, X), (C, X)
+        assert noncritical == ref_noncritical_at(C, X), (C, X)
+        outcomes["realization", realization] += 1
+        outcomes["noncritical", noncritical] += 1
+    assert min(outcomes[kind, value] for kind in ("realization", "noncritical")
+               for value in (True, False)) >= 100, outcomes
+
+
+def test_row_sum_errors():
+    X = Pattern.from_rows([[Entry.labeled("a", Fraction(141, 100), Fraction(142, 100)), 1, 0],
+                           [1, 0], [0]])
+    with pytest.raises(NonRationalWeight, match="^labeled entry a in row 3$"):
+        row_sum(X, 3)
+    assert row_sum(X, 2) == 1
+    for k in (0, 4):
+        with pytest.raises(ValueError, match=f"^row {k} out of range$"):
+            row_sum(X, k)
 
 
 def test_weights():
