@@ -18,7 +18,7 @@ from .errors import (
     NotSatisfying,
     OutOfBasisLeak,
 )
-from .patterns import weight
+from .patterns import coord_index
 from .patterns import satisfies as _satisfies
 
 
@@ -39,7 +39,12 @@ class LinComb:
                 acc[pattern] = c
             elif pattern in acc:
                 del acc[pattern]
-        return cls(tuple(sorted(acc.items(), key=lambda t: t[0].offsets_key())))
+        return cls._sorted(acc.items())
+
+    @classmethod
+    def _sorted(cls, items):
+        # Terms already distinct, with nonzero Fraction coefficients.
+        return cls(tuple(sorted(items, key=lambda t: t[0].offsets_key())))
 
     @classmethod
     def single(cls, pattern, coeff=1):
@@ -64,26 +69,20 @@ class LinComb:
         return " + ".join(f"({c})*[{p}]" for p, c in self.terms)
 
 
-def _require_rational_rows(M, rows):
-    for k in rows:
-        if not 1 <= k <= M.n:
-            continue
-        for e in M.row(k):
-            if not e.is_rational:
-                raise LabeledEntryUnsupported(
-                    "generator action needs rational entries in the touched rows"
-                )
-
-
 def _scaled_rows(M, k, other):
     """Rows k and other of M as ints, scaled by the common denominator D of
     their offsets: (D, row k, row other).  The factors of the action formulas
     are then ints, D times their values, and each coefficient is one
-    Fraction."""
-    rows = [[e.offset for e in M.row(r)] for r in (k, other)]
-    D = lcm(*(q.denominator for row in rows for q in row))
-    m, o = ([q.numerator * (D // q.denominator) for q in row] for row in rows)
-    return D, m, o
+    Fraction.  Row 0 is empty; a labeled entry in either row raises."""
+    n, entries = M.n, M.entries
+    a, b = coord_index(n, (k, 1)), coord_index(n, (other, 1))
+    qs = [e.offset for e in entries[a:a + k] + entries[b:b + other] if e.label is None]
+    if len(qs) < k + other:
+        raise LabeledEntryUnsupported(
+            "generator action needs rational entries in the touched rows")
+    D = lcm(*[q.denominator for q in qs])
+    ints = [q.numerator * (D // q.denominator) for q in qs]
+    return D, ints[:k], ints[k:]
 
 
 def _row_denominator(k, m, i, D):
@@ -104,7 +103,6 @@ def _act_step(k, M, other):
     (k,i) moves by delta = other - k, with coefficient -delta times the
     product over row other of m_i - o_j + j - i, over the product over
     j != i of m_i - m_j + j - i."""
-    _require_rational_rows(M, (k, other))
     D, m, o = _scaled_rows(M, k, other)
     delta = other - k
     scale = D ** (delta + 1)  # other factors over k - 1: D**2 too large for a raise
@@ -114,7 +112,7 @@ def _act_step(k, M, other):
         den = _row_denominator(k, m, i, D)
         if num:
             items.append((M.shifted(k, i, delta), Fraction(-delta * num, den * scale)))
-    return LinComb.build(items)
+    return LinComb._sorted(items)  # one term per i, each nonzero
 
 
 def act_raise(k, M):
@@ -135,8 +133,9 @@ def act_cartan(k, M):
     """Diagonal generator: multiplies by the kth weight of the tableau."""
     if not 1 <= k <= M.n:
         raise ValueError(f"cartan index {k} out of range 1..{M.n}")
-    _require_rational_rows(M, (k - 1, k))
-    return LinComb.single(M, weight(M, k))
+    D, m, o = _scaled_rows(M, k, k - 1)
+    w = Fraction(sum(m) - sum(o), D)  # weight(M, k) on rational rows
+    return LinComb(((M, w),) if w else ())
 
 
 RAISE, LOWER, CARTAN = "raise", "lower", "cartan"
@@ -216,11 +215,15 @@ def check_commutators(C, L, sample):
     Tableaux get a position the first time they are met (None outside the
     basis), and the column of a generator at a position is built the first
     time a bracket needs it, so a sample without a finite basis is fine.
-    Every other sum of vectors goes through one helper, combine.  The
-    cartan brackets are read off the diagonal: cartan_j multiplies each
-    tableau by its weight, which its own column holds.  A distant same-type
-    bracket is computed once, at k < l, and [kind_l, kind_k] is reported as
-    its negation.
+    Every other sum of vectors goes through one helper, combine, once per
+    bracket.  The cartan brackets are read off the diagonal: cartan_j
+    multiplies each tableau by its weight, which its own column holds.  The
+    weight vector of each position is read once off its n cartan columns,
+    and a raise or lower column passes all n of its cartan brackets when
+    every term's weight vector is that of the position moved by the
+    bracket's constant; only a column that does not is checked per j.  A
+    distant same-type bracket is computed once, at k < l, and
+    [kind_l, kind_k] is reported as its negation.
     """
     n = L.n
     failures = []
@@ -228,6 +231,7 @@ def check_commutators(C, L, sample):
     patterns = []
     index = {}
     columns = {}
+    weight_vectors = {}
 
     def locate(P):
         try:
@@ -265,15 +269,19 @@ def check_commutators(C, L, sample):
         return common, {t: a for t, a in acc.items() if a}
 
     def bracket(g1, g2, pos):
-        # [g1, g2] e_pos.  Columns are built in the order a composition of
-        # act_in_basis calls acts on the terms, so the first error raised is
-        # the one it would raise: g2 at pos, g1 at each of its terms, then g1
-        # at pos, g2 at each of its terms.
-        d2, col2 = column(g2, pos)
-        d12, nums12 = combine([(c, column(g1, t)) for t, c in col2.items()])
-        d1, col1 = column(g1, pos)
-        d21, nums21 = combine([(c, column(g2, t)) for t, c in col1.items()])
-        return combine([(1, (d2 * d12, nums12)), (-1, (d1 * d21, nums21))])
+        # The parts of [g1, g2] e_pos for combine: g1 g2 e_pos, then
+        # -g2 g1 e_pos, each a sum over the terms of a column at pos.
+        # Columns are built in the order a composition of act_in_basis calls
+        # acts on the terms, so the first error raised is the one it would
+        # raise: g2 at pos, g1 at each of its terms, then g1 at pos, g2 at
+        # each of its terms.
+        parts = []
+        for a, b, sign in ((g1, g2, 1), (g2, g1, -1)):
+            den, col = column(b, pos)
+            for t, c in col.items():
+                d, nums = column(a, t)
+                parts.append((sign * c, (den * d, nums)))
+        return parts
 
     def weight_at(j, t):
         # w_j at position t, as (den, num), read off the cartan_j column.
@@ -282,6 +290,28 @@ def check_commutators(C, L, sample):
             raise RuntimeError(
                 f"cartan{j} column at [{patterns[t]}] has a term off its diagonal")
         return den, nums.get(t, 0)
+
+    def weights(t):
+        # The weight vector of position t, one w_j per cartan column as
+        # (den, num) in lowest terms, so equal vectors are equal tuples.
+        # None if reading it raised (a column off its diagonal, or an error
+        # building one): every column with a term at t then goes through the
+        # per-j brackets, which raise that error again, in the order they
+        # build their columns.
+        try:
+            return weight_vectors[t]
+        except KeyError:
+            try:
+                w = tuple(weight_at(j, t) for j in range(1, n + 1))
+            except Exception:
+                w = None
+            weight_vectors[t] = w
+            return w
+
+    def moved(w, k, sign):
+        # The weight vector w + sign * (e_k - e_{k+1}), in the form of weights().
+        return tuple((d, num + sign * d * ((j == k) - (j == k + 1)))
+                     for j, (d, num) in enumerate(w, 1))
 
     def cartan_bracket(j, gen, pos, want):
         # [cartan_j, gen] e_pos - want * gen e_pos.  cartan_j is diagonal, so
@@ -307,27 +337,36 @@ def check_commutators(C, L, sample):
             raise NotSatisfying("input term outside the basis")
         checked += 1
         for k in range(1, n):
-            lhs = bracket((RAISE, k), (LOWER, k), pos)  # built before the cartan columns
-            res = combine([(1, lhs), (-1, column((CARTAN, k), pos)),
-                           (1, column((CARTAN, k + 1), pos))])
+            res = combine(bracket((RAISE, k), (LOWER, k), pos)  # before the cartan columns
+                          + [(-1, column((CARTAN, k), pos)), (1, column((CARTAN, k + 1), pos))])
             if res[1]:
                 failures.append((f"[raise{k},lower{k}]", M, residual(res)))
+        # Every cartan bracket with raise_k at pos holds iff each term of the
+        # raise_k column moves the weight vector of pos by e_k - e_{k+1}, and
+        # likewise lower_k by e_{k+1} - e_k.  Only a column that fails this
+        # goes through the exact per-j brackets, which build the residuals.
+        wp = weights(pos)
+        failing = set()
+        for k in range(1, n):
+            for kind, sign in ((RAISE, 1), (LOWER, -1)):
+                want = None if wp is None else moved(wp, k, sign)
+                if want is None or any(weights(t) != want for t in column((kind, k), pos)[1]):
+                    failing.add((kind, k))
         for j in range(1, n + 1):
             for k in range(1, n):
                 want = (1 if j == k else 0) - (1 if j == k + 1 else 0)
-                res = cartan_bracket(j, (RAISE, k), pos, want)
-                if res[1]:
-                    failures.append((f"[cartan{j},raise{k}]", M, residual(res)))
-                res = cartan_bracket(j, (LOWER, k), pos, -want)
-                if res[1]:
-                    failures.append((f"[cartan{j},lower{k}]", M, residual(res)))
+                for kind, sign in ((RAISE, 1), (LOWER, -1)):
+                    if (kind, k) in failing:
+                        res = cartan_bracket(j, (kind, k), pos, sign * want)
+                        if res[1]:
+                            failures.append((f"[cartan{j},{kind}{k}]", M, residual(res)))
         mirrors = {}
         for k in range(1, n):
             for l in range(1, n):
                 if abs(k - l) >= 2:
                     for kind in (RAISE, LOWER):
                         if k < l:
-                            res = bracket((kind, k), (kind, l), pos)
+                            res = combine(bracket((kind, k), (kind, l), pos))
                             # [kind_l, kind_k] e = -[kind_k, kind_l] e, reported
                             # when the loop reaches (l, k).
                             mirrors[kind, l, k] = combine([(-1, res)]) if res[1] else res
@@ -336,7 +375,7 @@ def check_commutators(C, L, sample):
                         if res[1]:
                             failures.append((f"[{kind}{k},{kind}{l}]", M, residual(res)))
                 if k != l:
-                    res = bracket((RAISE, k), (LOWER, l), pos)
+                    res = combine(bracket((RAISE, k), (LOWER, l), pos))
                     if res[1]:
                         failures.append((f"[raise{k},lower{l}]", M, residual(res)))
     return CommutatorReport(checked, tuple(failures))

@@ -26,3 +26,29 @@ def test_imports_are_module_level_and_stdlib_only():
                     [alias.name for alias in node.names]
                 assert all(name.split(".")[0] in sys.stdlib_module_names | {"relpoly"}
                            for name in names), where
+
+
+def test_modaction_keeps_no_state_between_calls():
+    # Memos of the action and the commutator check live inside one call, so
+    # memory stays bounded in a long-lived process: no module-level or class
+    # -level dict, list or set, and no functools cache.
+    tree = ast.parse((SRC / "modaction.py").read_text())
+    containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    for stmt in (stmt for body in bodies for stmt in body):
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and stmt.value:
+            value = stmt.value
+            where = f"modaction.py:{stmt.lineno}"
+            assert not isinstance(value, containers), where
+            assert not (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                        and value.func.id in {"dict", "list", "set", "defaultdict",
+                                              "OrderedDict", "Counter"}), where
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names = {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "functools":
+            names = {node.attr}
+        else:
+            continue
+        assert not names & {"cache", "lru_cache"}, f"modaction.py:{node.lineno}"

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 
@@ -9,6 +10,7 @@ from relpoly import fileio, modaction
 from relpoly.cli import main
 from relpoly.errors import (
     CriticalDenominator,
+    LabeledEntryUnsupported,
     NotDominant,
     NotSatisfying,
     OutOfBasisLeak,
@@ -27,7 +29,7 @@ from relpoly.modaction import (
     check_commutators,
     weyl_dim,
 )
-from relpoly.patterns import Entry, Pattern, satisfies, weight_vector
+from relpoly.patterns import Entry, Pattern, satisfies, weight, weight_vector
 from relpoly.polyhedra import enumerate_integral
 from relpoly.relations import (
     RelationSet,
@@ -368,6 +370,123 @@ def test_distant_brackets_fail_like_the_reference(monkeypatch):
     assert got == commutator_outcome(reference_check_commutators, C, L, sample)
     names = {name for name, _, _ in got[1]}
     assert {"[raise1,raise3]", "[raise3,raise1]"} <= names, names
+
+
+def test_term_side_cartan_brackets_fail_like_the_reference(monkeypatch):
+    # An act_raise whose terms, on a third of the tableaux, move the entry in
+    # row k+1 instead of row k: the cartan columns stay true, but the terms
+    # land on the wrong weight, so the weight-vector comparison must fall
+    # back to the exact per-j residuals.
+    true_raise = modaction.act_raise
+
+    def perturbed(k, M):
+        v = true_raise(k, M)
+        if (sum(e.offset for e in M.entries) + k) % 3 or k + 1 > M.n - 1:
+            return v
+        return LinComb.build((M.shifted(k + 1, 1, 1), c) for _, c in v.terms)
+
+    monkeypatch.setattr(modaction, "act_raise", perturbed)
+    cases = []
+    for lam in ((2, 1, 0), (2, 1, 1, 0), (3, 2, 1, 0)):
+        n = len(lam)
+        C = standard_set(n, 1, "both")
+        L = Pattern.from_rows([list(lam[:k]) for k in range(n, 0, -1)])
+        cases.append((C, L, enumerate_integral(C, L).points))
+    rng = random.Random(20261022)
+    for _ in range(60):
+        C = random_relation_set(rng, rng.choice((3, 3, 4, 4)))
+        cases.append((C, *random_sample(rng, C)))
+    names = set()
+    for C, L, sample in cases:
+        got = commutator_outcome(check_commutators, C, L, sample)
+        assert got == commutator_outcome(reference_check_commutators, C, L, sample), (
+            C, [str(M) for M in sample])
+        if not isinstance(got[0], str):
+            names.update(name.split(",")[0] for name, _, _ in got[1])
+    assert {"[cartan1", "[cartan2", "[cartan3"} <= names, names
+
+
+def reference_act(kind, k, M):
+    """The action formulas as they stood before they read each row once:
+    the rational-row check, then the scaled rows, then LinComb.build."""
+
+    def require_rational_rows(rows):
+        for r in rows:
+            if 1 <= r <= M.n and not all(e.is_rational for e in M.row(r)):
+                raise LabeledEntryUnsupported(
+                    "generator action needs rational entries in the touched rows")
+
+    if kind == CARTAN:
+        if not 1 <= k <= M.n:
+            raise ValueError(f"cartan index {k} out of range 1..{M.n}")
+        require_rational_rows((k - 1, k))
+        return LinComb.single(M, weight(M, k))
+    if not 1 <= k <= M.n - 1:
+        raise ValueError(f"{kind} index {k} out of range 1..{M.n - 1}")
+    other = k + 1 if kind == RAISE else k - 1
+    require_rational_rows((k, other))
+    rows = [[e.offset for e in M.row(r)] for r in (k, other)]
+    D = lcm(*(q.denominator for row in rows for q in row))
+    m, o = ([q.numerator * (D // q.denominator) for q in row] for row in rows)
+    delta = other - k
+    items = []
+    for i in range(1, k + 1):
+        num = prod(m[i - 1] - o[j - 1] + (j - i) * D for j in range(1, other + 1))
+        den = 1
+        for j in range(1, k + 1):
+            if j != i:
+                f = m[i - 1] - m[j - 1] + (j - i) * D
+                if f == 0:
+                    raise CriticalDenominator(k, i, j)
+                den *= f
+        if num:
+            items.append((M.shifted(k, i, delta), Fraction(-delta * num, den * D ** (delta + 1))))
+    return LinComb.build(items)
+
+
+def random_pattern(rng, n):
+    """Entries in 0..3; one pattern in three has a common fractional part,
+    and one in three a few sqrt2-labeled entries."""
+    roll = rng.randrange(3)
+    q = Fraction(rng.randint(1, 6), rng.randint(2, 7)) if roll == 1 else 0
+    rows = []
+    for k in range(n, 0, -1):
+        row = [Entry.rational(rng.randint(0, 3) + q) for _ in range(k)]
+        if roll == 2 and rng.random() < 0.3:
+            row[rng.randrange(k)] = Entry.sqrt(2, rng.randint(0, 3))
+        rows.append(row)
+    return Pattern.from_rows(rows)
+
+
+def test_action_formulas_match_the_reference():
+    # Terms come out sorted, distinct and nonzero, on tableaux equal to (and
+    # hashing like) their rebuilt selves; results and errors are the
+    # reference's, message for message.
+    rng = random.Random(20261023)
+    acts = {RAISE: act_raise, LOWER: act_lower, CARTAN: act_cartan}
+    kinds = {}
+    for n in range(1, 7):
+        for _ in range(60):
+            M = random_pattern(rng, n)
+            for k in range(n + 1):
+                for kind, act in acts.items():
+                    try:
+                        want = reference_act(kind, k, M)
+                    except (ValueError, RelpolyError) as exc:
+                        with pytest.raises(type(exc)) as got:
+                            act(k, M)
+                        assert str(got.value) == str(exc), (kind, k, str(M))
+                        outcome = type(exc).__name__
+                    else:
+                        v = act(k, M)
+                        assert v == want and str(v) == str(want), (kind, k, str(M))
+                        assert v.terms == LinComb.build(v.terms).terms
+                        for P, _ in v.terms:
+                            Q = Pattern.from_rows(P.rows())
+                            assert P == Q and hash(P) == hash(Q)
+                        outcome = kind
+                    kinds[outcome] = kinds.get(outcome, 0) + 1
+    assert len(kinds) == 6 and min(kinds.values()) >= 30, kinds
 
 
 def test_cartan_column_off_its_diagonal_fails_loudly(monkeypatch):
