@@ -7,8 +7,10 @@ reduced against an echelon basis keyed by leading column: cross-multiply to
 clear the leading entry, then divide out the content (the gcd of the
 entries), which leaves no remainder.  This is fraction-free elimination (see
 E. H. Bareiss, Math. Comp. 22, 1968), and rows stay short when the input is
-sparse.  The rank is the pivot count of this forward pass.  Back-substitution,
-for `rref` and `nullspace` only, runs on the same integer rows.
+sparse.  When the two leading entries agree up to sign, the common case on
+0/+-1 rows, the step is a plain subtraction of rows, with no gcd.  The rank
+is the pivot count of this forward pass.  Back-substitution, for `rref` and
+`nullspace` only, runs on the same integer rows.
 
 ``Fraction``s appear only in the results: the reduced rows of ``rref`` and
 the vectors of ``nullspace``.  The reduced row echelon form of a row space is
@@ -45,34 +47,44 @@ def _primitive(row):
 
 
 def _eliminate(row, col, pivot_row):
-    """Clear `col` from `row` with an integer multiple of `pivot_row`, in place."""
+    """Clear `col` from `row` with an integer multiple of `pivot_row`, in place.
+
+    When the two entries in `col` agree up to sign, the common case on 0/+-1
+    rows, it subtracts +-pivot_row with no gcd and no scaling, and the row may
+    keep a content above 1.
+    """
     a, b = pivot_row[col], row[col]
-    g = gcd(a, b)
-    a, b = a // g, b // g
-    if a != 1:
-        for c in row:
-            row[c] *= a
+    unit = a == b or a == -b
+    if unit:
+        b //= a
+    else:
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
+            for c in row:
+                row[c] *= a
     for c, x in pivot_row.items():
         y = row.get(c, 0) - b * x
         if y:
             row[c] = y
         else:
             del row[c]
-    if row:
+    if row and not unit:
         _primitive(row)
 
 
 def _echelon(rows):
-    """Echelon basis of the row space: {leading column: primitive int row}.
+    """Echelon basis of the row space: {leading column: int row}.
 
     The rows are sparse int rows, which it reduces in place.
     """
     basis = {}
+    pivot_of = basis.get
     for row in rows:
         _primitive(row)
         while row:
             lead = min(row)
-            pivot_row = basis.get(lead)
+            pivot_row = pivot_of(lead)
             if pivot_row is None:
                 basis[lead] = row
                 break

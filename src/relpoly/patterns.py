@@ -48,6 +48,16 @@ class Entry:
             if self.lo > self.hi:
                 raise ValueError("empty enclosure interval")
 
+    def __eq__(self, other):
+        # The dataclass equality of (offset, label), with the offsets
+        # compared by their reduced numerators and denominators: Fraction's
+        # own == would first check the type of other against numbers.Rational.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        p, q = self.offset, other.offset
+        return (self.label == other.label and p.numerator == q.numerator
+                and p.denominator == q.denominator)
+
     def __hash__(self):
         # The dataclass hash of (offset, label), computed on first use and
         # kept: Fraction hashes are costly, and a tableau step rehashes every
@@ -94,7 +104,13 @@ class Entry:
         return self.lo + self.offset, self.hi + self.offset
 
     def add(self, q):
-        return Entry(self.offset + _frac(q), self.label, self.lo, self.hi)
+        if type(q) is not int:
+            return Entry(self.offset + _frac(q), self.label, self.lo, self.hi)
+        # An int step keeps the label and enclosure, checked when self was
+        # made, so the new Entry skips the constructor.
+        e = object.__new__(Entry)
+        e.__dict__.update(offset=self.offset + q, label=self.label, lo=self.lo, hi=self.hi)
+        return e
 
     def diff(self, other):
         """Exact difference as a rational, or None when labels differ."""
@@ -118,7 +134,9 @@ class Entry:
 def cmp_entries(a, b):
     """-1, 0, 1 comparison; raises IncomparableEntries when undecidable."""
     if a.label == b.label:
-        return (a.offset > b.offset) - (a.offset < b.offset)
+        p, q = a.offset, b.offset
+        x, y = p.numerator * q.denominator, q.numerator * p.denominator
+        return (x > y) - (x < y)
     alo, ahi = a.value_bounds()
     blo, bhi = b.value_bounds()
     if ahi < blo:
@@ -147,6 +165,11 @@ def coord_index(n, v):
     """Index of vertex (k,i) in the serialization order (top row first)."""
     k, i = v
     return (n * (n + 1) - k * (k + 1)) // 2 + (i - 1)
+
+
+def row_starts(n):
+    """Row offsets for k = 0..n: starts[k] + i is coord_index(n, (k, i))."""
+    return [coord_index(n, (k, 0)) for k in range(n + 1)]
 
 
 @dataclass(frozen=True)
@@ -242,15 +265,25 @@ def _check_sizes(C, X):
         raise SizeMismatch(f"relation set has n={C.n}, pattern has n={X.n}")
 
 
+def tight_arcs(C, X):
+    """The relations of C with x_src = x_dst, in C's order, or None when
+    x_src < x_dst for one of them, in one certified pass.  The first relation
+    that is violated or whose order is undecided ends the pass."""
+    _check_sizes(C, X)
+    ents, starts = X.entries, row_starts(X.n)
+    tight = []
+    for src, dst in C:
+        a, b = ents[starts[src[0]] + src[1]], ents[starts[dst[0]] + dst[1]]
+        if a == b:
+            tight.append((src, dst))
+        elif cmp_entries(a, b) < 0:
+            return None
+    return tight
+
+
 def is_c_pattern(C, X):
     """x_src >= x_dst for every relation, with certified order."""
-    _check_sizes(C, X)
-    for src, dst in C:
-        if X[src] == X[dst]:
-            continue
-        if cmp_entries(X[src], X[dst]) < 0:
-            return False
-    return True
+    return tight_arcs(C, X) is not None
 
 
 def satisfies(C, L):
@@ -294,13 +327,12 @@ def noncritical_at(C, M):
     return True
 
 
-def _offset_sum(plus, minus=()):
-    """Sum of the offsets of the entries plus minus those of minus, summed as
-    ints over their common denominator."""
-    den = lcm(*(e.offset.denominator for e in (*plus, *minus)))
-    num = sum(e.offset.numerator * (den // e.offset.denominator) for e in plus)
-    num -= sum(e.offset.numerator * (den // e.offset.denominator) for e in minus)
-    return Fraction(num, den)
+def _offset_sum(entries):
+    """The sum of the entries' offsets as ints (num, den), over the lcm of
+    their denominators."""
+    offsets = [e.offset for e in entries]
+    den = lcm(*(x.denominator for x in offsets))
+    return sum(x.numerator * (den // x.denominator) for x in offsets), den
 
 
 def row_sum(X, k):
@@ -310,19 +342,29 @@ def row_sum(X, k):
     for e in row:
         if not e.is_rational:
             raise NonRationalWeight(f"labeled entry {e} in row {k}")
-    return _offset_sum(row)
+    return Fraction(*_offset_sum(row))
+
+
+def _weights(X, first, last):
+    """(w_first, ..., w_last), w_k = R_k - R_{k-1}, from one offset sum per
+    row; labels must cancel between the two rows of each weight."""
+    rows = [X.row(k) if k else [] for k in range(first - 1, last + 1)]
+    labels = [sorted(e.label for e in row if e.label) for row in rows]
+    for k, upper, lower in zip(range(first, last + 1), labels[1:], labels):
+        if upper != lower:
+            raise NonRationalWeight(f"labels do not cancel in weight {k}")
+    sums = [_offset_sum(row) for row in rows]
+    return tuple(Fraction(a * d - c * b, b * d)
+                 for (c, d), (a, b) in zip(sums, sums[1:]))
 
 
 def weight(X, k):
     """w_k = R_k - R_{k-1}; labels must cancel between the two rows."""
     if not 1 <= k <= X.n:
         raise ValueError(f"row {k} out of range")
-    row = X.row(k)
-    below = [] if k == 1 else X.row(k - 1)
-    if sorted(e.label for e in row if e.label) != sorted(e.label for e in below if e.label):
-        raise NonRationalWeight(f"labels do not cancel in weight {k}")
-    return _offset_sum(row, below)
+    return _weights(X, k, k)[0]
 
 
 def weight_vector(X):
-    return tuple(weight(X, k) for k in range(1, X.n + 1))
+    """(w_1, ..., w_n), each row summed once."""
+    return _weights(X, 1, X.n)

@@ -26,7 +26,7 @@ from .patterns import (
     Entry,
     Pattern,
     cmp_entries,
-    coord_index,
+    row_starts,
     row_sum,
     satisfies,
     weight_vector,
@@ -348,13 +348,14 @@ def first_points(C, L, limit, mu=None):
 
 def _equality_rows(system):
     n = system.n
+    starts = row_starts(n)
     rows = []
     if system.eq_top is not None:
-        rows += [{coord_index(n, (n, r)): 1} for r in range(1, n + 1)]
+        rows += [{starts[n] + r: 1} for r in range(1, n + 1)]
     if system.eq_weights is not None:
         for k in range(1, n + 1):
-            row = {coord_index(n, (k, i)): 1 for i in range(1, k + 1)}
-            row.update((coord_index(n, (k - 1, i)), -1) for i in range(1, k))
+            row = {starts[k] + i: 1 for i in range(1, k + 1)}
+            row.update((starts[k - 1] + i, -1) for i in range(1, k))
             rows.append(row)
     return rows
 
@@ -371,22 +372,25 @@ def face_dim_oracle(system, X):
         raise Infeasible(f"pattern has n={X.n}, system has n={n}")
     ncols = n * (n + 1) // 2
     rows = _equality_rows(system)
+    ents, starts = X.entries, row_starts(n)
     if system.eq_top is not None:
         for r in range(1, n + 1):
-            if X[(n, r)] != system.eq_top[r - 1]:
+            if ents[starts[n] + r] != system.eq_top[r - 1]:
                 raise Infeasible(f"top-row pin violated at column {r}")
     if system.eq_weights is not None:
         if weight_vector(X) != system.eq_weights:
             raise Infeasible("weight pins violated")
     zero = Entry.rational(0)
     for src, dst in system.inequalities:
-        if X[src] == X[dst]:
-            rows.append({coord_index(n, src): 1, coord_index(n, dst): -1})
-        elif cmp_entries(X[src], X[dst]) < 0:
+        a, b = starts[src[0]] + src[1], starts[dst[0]] + dst[1]
+        if ents[a] == ents[b]:
+            rows.append({a: 1, b: -1})
+        elif cmp_entries(ents[a], ents[b]) < 0:
             raise Infeasible(f"inequality {src} >= {dst} violated")
     for v in system.nonneg:
-        if X[v] == zero:
-            rows.append({coord_index(n, v): 1})
-        elif cmp_entries(X[v], zero) < 0:
+        a = starts[v[0]] + v[1]
+        if ents[a] == zero:
+            rows.append({a: 1})
+        elif cmp_entries(ents[a], zero) < 0:
             raise Infeasible(f"nonnegativity violated at {v}")
     return ncols - linalg.sparse_rank(rows)

@@ -16,8 +16,8 @@ from .patterns import (
     Pattern,
     cmp_entries,
     coord_index,
-    is_c_pattern,
     separation,
+    tight_arcs,
 )
 from .relations import _union_find_blocks, is_top_connected, support
 
@@ -42,18 +42,24 @@ class Inapplicable:
 
 
 def _require_c_pattern(C, X):
-    if not is_c_pattern(C, X):
+    """The relations of C tight at X; raises NotACPattern if X violates one."""
+    tight = tight_arcs(C, X)
+    if tight is None:
         raise NotACPattern("pattern violates a relation inequality")
+    return tight
+
+
+def _tiling(n, tight):
+    """The tiling whose tiles the tight relations join; canonical tile order."""
+    tiles = _union_find_blocks(n, tight)
+    free = [t for t in tiles if all(v[0] != n for v in t)]
+    rest = [t for t in tiles if t not in free]
+    return Tiling(n, tuple(free + rest), len(free))
 
 
 def compute_tiling(C, X):
     """Partition the triangle by equal-entry walks; canonical tile order."""
-    _require_c_pattern(C, X)
-    equal = [(src, dst) for src, dst in C if X[src] == X[dst]]
-    tiles = _union_find_blocks(C.n, equal)
-    free = [t for t in tiles if all(v[0] != C.n for v in t)]
-    rest = [t for t in tiles if t not in free]
-    return Tiling(C.n, tuple(free + rest), len(free))
+    return _tiling(C.n, _require_c_pattern(C, X))
 
 
 def lambda_free(tiling, lam):
@@ -73,14 +79,11 @@ def tiling_matrix(C, X, tiling=None):
             tuple(1 if i == j else 0 for j in range(n - 1)) for i in range(n - 1)
         )
         return TilingMatrix(n, 0, rows)
-    rows = []
-    for i in range(1, n):
-        rows.append(
-            tuple(
-                sum(1 for v in tiling.tiles[k] if v[0] == i) for k in range(s)
-            )
-        )
-    return TilingMatrix(n, s, tuple(rows))
+    rows = [[0] * s for _ in range(n - 1)]
+    for col, tile in enumerate(tiling.tiles[:s]):
+        for k, _ in tile:
+            rows[k - 1][col] += 1
+    return TilingMatrix(n, s, tuple(map(tuple, rows)))
 
 
 def _width(A):
@@ -112,7 +115,7 @@ def min_face_dims(C, X):
 
 def min_face_dims_plus(C, X):
     """(s, r) for the nonnegative variants, or Inapplicable(reason)."""
-    _require_c_pattern(C, X)
+    tight = _require_c_pattern(C, X)
     for v in sorted(support(C)):
         e = X[v]
         if e == Entry.rational(0):
@@ -121,7 +124,7 @@ def min_face_dims_plus(C, X):
             raise NegativeEntryOnSupport(f"entry at {v} is negative")
     if not is_top_connected(C):
         return Inapplicable("not top-connected")
-    tiling = compute_tiling(C, X)
+    tiling = _tiling(C.n, tight)
     if tiling.free_count == 0:
         return Inapplicable("no lambda1-free tile")
     A = tiling_matrix(C, X, tiling)

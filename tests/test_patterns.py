@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import relpoly
-from relpoly.errors import IncomparableEntries, NonRationalWeight
+from relpoly.errors import IncomparableEntries, NonRationalWeight, RelpolyError
 from relpoly.patterns import (
     Entry,
     Pattern,
@@ -30,6 +30,7 @@ from relpoly.patterns import (
 )
 from relpoly.polyhedra import enumerate_integral
 from relpoly.relations import RelationSet, connected_components, standard_set
+from relpoly.selftest import random_c_pattern
 from test_relations import random_relation_set
 
 EX_C = RelationSet(4, [((2, 1), (1, 1)), ((2, 1), (3, 2)),
@@ -414,3 +415,168 @@ def test_weights_telescope():
                  for _ in range(k)] for k in range(n, 0, -1)]
         X = Pattern.from_rows(rows)
         assert sum(weight_vector(X)) == row_sum(X, n)
+
+
+# References for the primitives that the rank oracle and the tiling lean on:
+# Entry equality, order and weights, from (offset, label) tuples and Fraction
+# operators alone.
+
+def entry_key(e):
+    return (e.offset, e.label)
+
+
+def reference_bounds(e):
+    if e.label is None:
+        return e.offset, e.offset
+    return e.lo + e.offset, e.hi + e.offset
+
+
+def reference_cmp(a, b):
+    """cmp_entries by Fraction operators: offsets under one label, else the
+    intervals."""
+    if a.label == b.label:
+        return (a.offset > b.offset) - (a.offset < b.offset)
+    (alo, ahi), (blo, bhi) = reference_bounds(a), reference_bounds(b)
+    if ahi < blo:
+        return -1
+    if alo > bhi:
+        return 1
+    raise IncomparableEntries(f"cannot order {a} and {b} from their intervals")
+
+
+def reference_weight_vector(X):
+    """(w_1, ..., w_n) from Fraction sums of whole rows, after checking that
+    the labels of rows k and k-1 cancel."""
+    rows = [[]] + [X.row(k) for k in range(1, X.n + 1)]
+    weights = []
+    for k in range(1, X.n + 1):
+        upper, lower = rows[k], rows[k - 1]
+        if Counter(e.label for e in upper if e.label) != Counter(e.label for e in lower if e.label):
+            raise NonRationalWeight(f"labels do not cancel in weight {k}")
+        weights.append(sum(e.offset for e in upper) - sum(e.offset for e in lower))
+    return tuple(weights)
+
+
+def outcome_of(fn, *args):
+    """fn's value, or the type and message of the RelpolyError it raises."""
+    try:
+        return fn(*args)
+    except RelpolyError as exc:
+        return type(exc), str(exc)
+
+
+# Offsets that meet: integers, halves and thirds, some held in distinct but
+# equal Fraction objects, around labels whose enclosures overlap each other
+# ("a" and "b") and the rationals, and sqrt labels that do not.
+def varied_entry(rng):
+    num, den = rng.randint(-6, 6), rng.choice((1, 1, 2, 3))
+    scale = rng.choice((1, 2, 5))
+    offset = Fraction(num * scale, den * scale)
+    kind = rng.choice((None, None, None, "sqrt2", "sqrt3", "a", "b"))
+    if kind is None:
+        return Entry(offset)
+    if kind == "a":
+        return Entry.labeled("a", 1, 2, offset)
+    if kind == "b":
+        return Entry.labeled("b", Fraction(3, 2), 3, offset)
+    return Entry.sqrt(int(kind[4:]), offset)
+
+
+def test_entry_add_int_step_matches_the_constructor():
+    entries = [Entry.rational(4), Entry.rational(Fraction(-7, 3)), Entry.sqrt(2),
+               Entry.sqrt(3, Fraction(5, 6)), Entry.labeled("t", 1, 2, -1)]
+    for e in entries:
+        hash(e)  # the step must not carry self's cached hash over
+        for k in (-3, -1, 0, 1, 2, 10):
+            got, want = e.add(k), Entry(e.offset + k, e.label, e.lo, e.hi)
+            assert vars(got) == vars(want) and "_hash" not in vars(got)
+            assert type(got) is Entry and type(got.offset) is Fraction
+            assert got.lo is e.lo and got.hi is e.hi
+            assert pickle.dumps(got) == pickle.dumps(want)
+            back = pickle.loads(pickle.dumps(got))
+            assert vars(back) == vars(want)
+            assert got == want and hash(got) == hash(want) and str(got) == str(want)
+    # Other steps still go through the constructor and its checks.
+    assert Entry.rational(1).add(Fraction(1, 2)) == Entry.rational(Fraction(3, 2))
+    assert Entry.rational(1).add("1/3") == Entry.rational(Fraction(4, 3))
+    with pytest.raises(TypeError, match="cannot coerce 0.5"):
+        Entry.rational(1).add(0.5)
+
+
+def test_entry_equality_matches_the_tuple_reference():
+    rng = random.Random(20261018)
+    equal = 0
+    for _ in range(4000):
+        a, b = varied_entry(rng), varied_entry(rng)
+        if rng.random() < 0.3:
+            # The same value and label in a distinct Fraction object.
+            b = Entry(Fraction(a.offset.numerator * 3, a.offset.denominator * 3),
+                      a.label, a.lo, a.hi)
+            assert b.offset is not a.offset
+        want = entry_key(a) == entry_key(b)
+        assert (a == b) is want and (a != b) is (not want), (a, b)
+        assert (hash(a) == hash(b)) >= want and hash(a) == hash(entry_key(a))
+        equal += want
+    assert 1000 <= equal <= 3000, equal
+    one = Entry.rational(1)
+    assert not one == 1 and one != 1 and one.__eq__(1) is NotImplemented
+    assert one != Fraction(1) and one != (Fraction(1), None)
+
+
+def test_cmp_entries_matches_the_fraction_reference():
+    rng = random.Random(20261019)
+    outcomes = Counter()
+    for _ in range(4000):
+        a, b = varied_entry(rng), varied_entry(rng)
+        if rng.random() < 0.1:
+            b = Entry(Fraction(a.offset.numerator * 2, a.offset.denominator * 2),
+                      a.label, a.lo, a.hi)
+        got = outcome_of(cmp_entries, a, b)
+        assert got == outcome_of(reference_cmp, a, b), (a, b)
+        outcomes[got if isinstance(got, int) else got[0]] += 1
+    assert set(outcomes) == {-1, 0, 1, IncomparableEntries}, outcomes
+    assert min(outcomes.values()) >= 200, outcomes
+
+
+def test_weight_vector_matches_the_row_sum_reference():
+    rng = random.Random(20261020)
+    outcomes = Counter()
+    for _ in range(1500):
+        n = rng.randint(1, 5)
+        rows = [[Entry(Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 6))))
+                 for _ in range(k)] for k in range(n, 0, -1)]
+        # Labels that cancel down a column, and now and then one that does not.
+        for _ in range(rng.randint(0, 2)):
+            label = rng.choice((2, 3))
+            top = rng.randint(1, n)
+            for k in range(top, max(0, top - rng.randint(1, 2)), -1):
+                i = rng.randrange(k)
+                rows[n - k][i] = Entry.sqrt(label, rows[n - k][i].offset)
+        X = Pattern.from_rows(rows)
+        got = outcome_of(weight_vector, X)
+        assert got == outcome_of(reference_weight_vector, X), str(X)
+        assert got == outcome_of(lambda X: tuple(weight(X, k) for k in range(1, n + 1)), X)
+        if isinstance(got[0], Fraction):
+            assert all(type(w) is Fraction for w in got)
+        outcomes[got[0] if got[0] is NonRationalWeight else "ok"] += 1
+    assert min(outcomes.values()) >= 300, outcomes
+
+
+def labeled_c_pattern(rng, C, width=4):
+    """A random C-pattern with fractional and sqrt-labeled entries: the
+    integer C-pattern of random_c_pattern, with each value v sent to one
+    entry in [3v/2, 3v/2 + 3/4).  The map is increasing, so order and ties,
+    and with them the tiles, are those of the integer pattern."""
+    X = random_c_pattern(rng, C, width)
+    level = {}
+    for e in X.entries:
+        v = e.offset
+        if v not in level:
+            base = Fraction(3, 2) * v
+            level[v] = rng.choice((Entry(base), Entry(base + Fraction(1, 3)),
+                                   Entry.sqrt(2, base - 1), Entry.sqrt(3, base - 1)))
+    return Pattern(X.n, tuple(level[e.offset] for e in X.entries))
+
+
+def varied_pattern(rng, n):
+    return Pattern.from_rows([[varied_entry(rng) for _ in range(k)] for k in range(n, 0, -1)])

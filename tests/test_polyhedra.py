@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from relpoly.errors import (
+    IncomparableEntries,
     Infeasible,
     NonRationalWeight,
     NotSatisfying,
@@ -25,7 +26,6 @@ from relpoly.modaction import weyl_dim
 from relpoly.patterns import (
     Entry,
     Pattern,
-    cmp_entries,
     constant_pattern,
     coord_index,
     row_sum,
@@ -49,6 +49,14 @@ from relpoly.polyhedra import (
 from relpoly.relations import RelationSet, connected_components, standard_set
 from relpoly.selftest import random_c_pattern
 from relpoly.tiling import kernel, kernel_dim, min_face_dims, tiling_matrix
+from test_patterns import (
+    entry_key,
+    labeled_c_pattern,
+    outcome_of,
+    reference_cmp,
+    reference_weight_vector,
+    varied_entry,
+)
 from test_relations import random_relation_set
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "relpoly"
@@ -244,7 +252,9 @@ def test_oracle_matches_tile_counts_large(n, k, variant):
 
 
 def reference_face_dim_oracle(system, X):
-    """face_dim_oracle on dense rows, with the rank read off the rref."""
+    """face_dim_oracle on dense rows, with the rank read off the rref.
+    Entries are compared as (offset, label) tuples and ordered by Fraction
+    operators, and the weights are Fraction sums of whole rows."""
     n = system.n
     if X.n != n:
         raise Infeasible(f"pattern has n={X.n}, system has n={n}")
@@ -265,26 +275,26 @@ def reference_face_dim_oracle(system, X):
             rows.append(row)
     if system.eq_top is not None:
         for r in range(1, n + 1):
-            if X[(n, r)] != system.eq_top[r - 1]:
+            if entry_key(X[(n, r)]) != entry_key(system.eq_top[r - 1]):
                 raise Infeasible(f"top-row pin violated at column {r}")
     if system.eq_weights is not None:
-        if weight_vector(X) != system.eq_weights:
+        if reference_weight_vector(X) != system.eq_weights:
             raise Infeasible("weight pins violated")
     zero = Entry.rational(0)
     for src, dst in system.inequalities:
-        if X[src] == X[dst]:
+        if entry_key(X[src]) == entry_key(X[dst]):
             row = [0] * ncols
             row[coord_index(n, src)] += 1
             row[coord_index(n, dst)] -= 1
             rows.append(row)
-        elif cmp_entries(X[src], X[dst]) < 0:
+        elif reference_cmp(X[src], X[dst]) < 0:
             raise Infeasible(f"inequality {src} >= {dst} violated")
     for v in system.nonneg:
-        if X[v] == zero:
+        if entry_key(X[v]) == entry_key(zero):
             row = [0] * ncols
             row[coord_index(n, v)] = 1
             rows.append(row)
-        elif cmp_entries(X[v], zero) < 0:
+        elif reference_cmp(X[v], zero) < 0:
             raise Infeasible(f"nonnegativity violated at {v}")
     return ncols - len(rref(rows, ncols)[1])
 
@@ -326,6 +336,38 @@ def test_oracle_on_random_relation_sets():
                         errors[got.split(" ")[0]] += 1
     assert set(errors) == {"top-row", "weight", "inequality", "nonnegativity"}
     assert min(errors.values()) >= 30
+
+
+def test_oracle_on_labeled_patterns():
+    """Fractional and sqrt-labeled C-patterns X, and copies Y with a few
+    entries replaced, some under labels whose enclosures overlap: the oracle
+    gives the reference's value, or its error's type and message."""
+    rng = random.Random(20261022)
+    outcomes = Counter()
+    for _ in range(600):
+        C = random_relation_set(rng)
+        X = labeled_c_pattern(rng, C, rng.choice((2, 3, 4)))
+        ents = list(X.entries)
+        for _ in range(rng.randint(1, 3)):
+            ents[rng.randrange(len(ents))] = varied_entry(rng)
+        Y = Pattern(C.n, tuple(ents))
+        dims = min_face_dims(C, X)
+        for which, dim in zip(("pc", "lambda", "mu"), dims):
+            for plus in (False, True):
+                system = outcome_of(system_at, C, X, which, plus)
+                if isinstance(system, tuple):
+                    assert system == outcome_of(reference_weight_vector, X), (C, X)
+                    outcomes["no weights"] += 1
+                    continue
+                for P in (X, Y):
+                    got = outcome_of(face_dim_oracle, system, P)
+                    assert got == outcome_of(reference_face_dim_oracle, system, P), (C, P)
+                    if P is X and not plus:
+                        assert got == dim, (C, X, which)
+                    outcomes[got[0] if isinstance(got, tuple) else "dim"] += 1
+    assert set(outcomes) == {"dim", "no weights", Infeasible, NonRationalWeight,
+                             IncomparableEntries}, outcomes
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 def test_kernel_dim_on_random_relation_sets():

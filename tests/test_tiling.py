@@ -1,15 +1,29 @@
 """Tilings, tiling matrices, kernels, face dimensions, perturbation basis."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from relpoly.errors import NegativeEntryOnSupport, NotACPattern
+from relpoly.errors import (
+    IncomparableEntries,
+    NegativeEntryOnSupport,
+    NotACPattern,
+    SizeMismatch,
+)
 from relpoly.linalg import nullspace, rref
 from relpoly.patterns import Pattern, constant_pattern, is_c_pattern, weight_vector
-from relpoly.relations import standard_set
+from relpoly.relations import standard_set, vertices
 from relpoly.selftest import random_c_pattern
+from test_patterns import (
+    entry_key,
+    labeled_c_pattern,
+    outcome_of,
+    reference_cmp,
+    varied_pattern,
+)
+from test_relations import random_relation_set
 from relpoly.tiling import (
     Inapplicable,
     build_perturbation_basis,
@@ -230,3 +244,76 @@ def test_tile_equality_transfer():
         for tile in tiling.tiles:
             vals = {total[coord_index(n, v)] for v in tile}
             assert len(vals) == 1
+
+
+def reference_is_c_pattern(C, X):
+    """is_c_pattern as a pass over the relations that compares entries by
+    (offset, label) and orders them by Fraction operators."""
+    if C.n != X.n:
+        raise SizeMismatch(f"relation set has n={C.n}, pattern has n={X.n}")
+    for src, dst in C:
+        if entry_key(X[src]) != entry_key(X[dst]) and reference_cmp(X[src], X[dst]) < 0:
+            return False
+    return True
+
+
+def reference_tiling(C, X):
+    """(free tiles, other tiles) as sets: the order check, then a second
+    pass for the tight relations, whose components a graph search finds."""
+    if not reference_is_c_pattern(C, X):
+        raise NotACPattern("pattern violates a relation inequality")
+    near = {v: set() for v in vertices(C.n)}
+    for src, dst in C:
+        if entry_key(X[src]) == entry_key(X[dst]):
+            near[src].add(dst)
+            near[dst].add(src)
+    seen, tiles = set(), []
+    for v in vertices(C.n):
+        if v in seen:
+            continue
+        tile, todo = {v}, [v]
+        while todo:
+            for w in near[todo.pop()] - tile:
+                tile.add(w)
+                todo.append(w)
+        seen |= tile
+        tiles.append(frozenset(tile))
+    free = {t for t in tiles if all(k != C.n for k, _ in t)}
+    return free, set(tiles) - free
+
+
+def reference_tiling_matrix(tiling):
+    n, s = tiling.n, tiling.free_count
+    if s == 0:
+        return tuple(tuple(int(i == j) for j in range(n - 1)) for i in range(n - 1))
+    return tuple(tuple(sum(1 for v in tiling.tiles[k] if v[0] == i) for k in range(s))
+                 for i in range(1, n))
+
+
+def test_tiling_matches_the_two_pass_reference():
+    rng = random.Random(20261021)
+    outcomes = Counter()
+    for _ in range(1500):
+        C = random_relation_set(rng)
+        pick = rng.random()
+        if pick < 0.5:
+            X = labeled_c_pattern(rng, C, rng.choice((2, 3, 4)))
+        elif pick < 0.95:
+            X = varied_pattern(rng, C.n)
+        else:
+            X = varied_pattern(rng, C.n + rng.choice((-1, 1)))  # n >= 2
+        want = outcome_of(reference_is_c_pattern, C, X)
+        assert outcome_of(is_c_pattern, C, X) == want, (C, X)
+        got = outcome_of(compute_tiling, C, X)
+        if isinstance(got, tuple):
+            assert got == outcome_of(reference_tiling, C, X), (C, X)
+            outcomes[got[0]] += 1
+            continue
+        s = got.free_count
+        assert (set(got.tiles[:s]), set(got.tiles[s:])) == reference_tiling(C, X), (C, X)
+        assert len(got.tiles) == len(set(got.tiles))
+        assert tiling_matrix(C, X, got).entries == reference_tiling_matrix(got)
+        outcomes["tiling", s > 0] += 1
+    assert set(outcomes) == {NotACPattern, SizeMismatch, IncomparableEntries,
+                             ("tiling", True), ("tiling", False)}, outcomes
+    assert min(outcomes.values()) >= 40, outcomes
