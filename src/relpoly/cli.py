@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 domain errors and internal errors (structured
 error JSON on stdout), 2 I/O or parse errors, and usage errors such as a
-negative --limit or --count (argparse's message on stderr).
+negative --limit or --count or an --n below 1 (argparse's message on
+stderr).
 """
 
 import argparse
@@ -60,16 +61,19 @@ def _csv_rationals(text):
         raise ParseError(f"bad rational list {text!r}") from None
 
 
-def _nonnegative_int(text):
-    """argparse type of --limit and --count: a negative value is a usage
-    error, exit 2."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(low):
+    """argparse type of --n (low 1), --limit and --count (low 0): a value
+    below low is a usage error, exit 2."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _emit(obj, fmt):
@@ -232,7 +236,7 @@ def build_parser():
     p = add("gen", cmd_gen, help="emit a standard relation set")
     p.add_argument("--family", choices=sorted(FAMILIES), required=True)
     p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
 
     add("check", cmd_check, ("relations",), help="structural checks for a relation set")
     add("tile", cmd_tile, both, help="tiling report for a pattern")
@@ -240,18 +244,18 @@ def build_parser():
 
     p = add("enumerate", cmd_enumerate, both, help="integral point enumeration")
     p.add_argument("--mu")
-    p.add_argument("--limit", type=_nonnegative_int)
+    p.add_argument("--limit", type=_int_at_least(0))
 
     p = add("act", cmd_act, both, formats=False, help="apply a generator to a combination")
     p.add_argument("--generator", required=True, help="'E k l' with |k-l| <= 1")
     p.add_argument("--input", default="-", help="combination JSON file or '-'")
 
     p = add("commutators", cmd_commutators, both, help="bracket identity report")
-    p.add_argument("--limit", type=_nonnegative_int)
+    p.add_argument("--limit", type=_int_at_least(0))
 
     p = add("selftest", cmd_selftest, formats=False, help="seeded verification sweeps")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=_nonnegative_int, default=200)
+    p.add_argument("--count", type=_int_at_least(0), default=200)
     return parser
 
 

@@ -108,25 +108,16 @@ def is_polytope(C):
     return BoundednessReport(not missing, missing)
 
 
-def _relation_bounds(C):
-    """Per vertex, neighbors that bound it: (uppers, lowers) vertex lists.
-    The lowers (x_src >= x_dst) are C's successor lists."""
-    uppers = {v: [] for v in vertices(C.n)}
-    for src, dst in C:
-        uppers[dst].append(src)  # x_dst <= x_src
-    return uppers, C._succ
-
-
 def _arcs_above(C):
     """Per row k >= 2, per entry i of row k-1: the positions in row k of the
     entries with an arc to (k-1, i), and of those with an arc from it."""
-    uppers, lowers = _relation_bounds(C)
-    return {
-        k: [([u[1] - 1 for u in uppers[(k - 1, i)] if u[0] == k],
-             [w[1] - 1 for w in lowers[(k - 1, i)] if w[0] == k])
-            for i in range(1, k)]
-        for k in range(2, C.n + 1)
-    }
+    arcs = {k: [([], []) for _ in range(k - 1)] for k in range(2, C.n + 1)}
+    for (k, a), (j, b) in C:
+        if k == j + 1:  # x_(k, a) >= x_(k-1, b)
+            arcs[k][b - 1][0].append(a - 1)
+        elif j == k + 1:  # x_(j-1, a) >= x_(j, b)
+            arcs[j][a - 1][1].append(b - 1)
+    return arcs
 
 
 def _rows_below(C, fill):
@@ -222,13 +213,11 @@ def _count(L, below):
 
 
 def _integral_rows(C, L):
-    """Check that C and L enumerate, and return the row map of their points.
+    """The fill of the row map of C's points over L's top row.
 
     Each vertex below the top row gets its range of floors once, from the
     top-row columns that certify its bounds: the arcs of a path keep label
     and fractional part, so the floors along it fall too."""
-    if not satisfies(C, L):
-        raise NotSatisfying("base pattern does not satisfy the relation set")
     ubs, lbs = _certificates(C)
     missing = _uncertified(C, ubs, lbs)
     if missing:
@@ -248,20 +237,31 @@ def _integral_rows(C, L):
             for (a, b), lo, hi in zip(spans[k], los, his)
         )))
 
-    return _rows_below(C, fill)
+    return fill
+
+
+def _cap(bounds, others, target, tighter):
+    """Cap each bound at target less the sum of the others' opposite bounds,
+    where none of those is open (None)."""
+    known = [x for x in others if x is not None]
+    total, n_open = sum(known), len(others) - len(known)
+    for i, x in enumerate(others):
+        if n_open == (x is None):  # no other opposite bound is open
+            cap = target - total + (x or 0)
+            bounds[i] = cap if bounds[i] is None else tighter(bounds[i], cap)
 
 
 def _weight_rows(C, L, mu):
-    """Check that C, L and mu give a weight slice, and return the row map of
-    its points.
+    """The fill of the row map of C's weight slice at mu over L's top row.
 
     The floors of row m = k-1 sum to its sum in mu less the fractional parts
     of L's row m, and a sum that is not an integer leaves no rows.  Their
-    intervals are the bounds from the arcs to row k, tightened by that sum
-    until they settle.  Raises UnboundedWeightSlice at the first row reached
-    where one stays open."""
-    if not satisfies(C, L):
-        raise NotSatisfying("base pattern does not satisfy the relation set")
+    intervals are the bounds from the arcs to row k, capped by that sum in
+    two sweeps: each upper bound from the others' lower bounds, then each
+    lower bound from the others' new upper bounds.  More sweeps would only
+    fill a bound whose other bound stays open, and the rows are an exact
+    filter, so neither the rows nor the open coordinates depend on them.
+    Raises UnboundedWeightSlice at the first row reached with one open."""
     mu = tuple(Fraction(x) for x in mu)
     if len(mu) != C.n:
         raise WeightMismatch(f"mu must have length {C.n}")
@@ -280,23 +280,8 @@ def _weight_rows(C, L, mu):
     def fill(k, los, his):
         m = k - 1
         target = targets[m]
-        for _ in range(m + 1):
-            changed = False
-            for i in range(m):
-                others_lo = los[:i] + los[i + 1:]
-                others_hi = his[:i] + his[i + 1:]
-                if all(x is not None for x in others_lo):
-                    cap = target - sum(others_lo)
-                    if his[i] is None or cap < his[i]:
-                        his[i] = cap
-                        changed = True
-                if all(x is not None for x in others_hi):
-                    cap = target - sum(others_hi)
-                    if los[i] is None or cap > los[i]:
-                        los[i] = cap
-                        changed = True
-            if not changed:
-                break
+        _cap(his, los, target, min)
+        _cap(los, his, target, max)
         for i in range(m):
             if los[i] is None or his[i] is None:
                 raise UnboundedWeightSlice(
@@ -312,29 +297,38 @@ def _weight_rows(C, L, mu):
                 rows.append(head + (y,))
         return rows
 
+    return fill
+
+
+def _row_map(C, L, mu=None):
+    """Check that C and L (with mu, its weight slice) enumerate, and return
+    the row map of their points."""
+    if not satisfies(C, L):
+        raise NotSatisfying("base pattern does not satisfy the relation set")
+    fill = _integral_rows(C, L) if mu is None else _weight_rows(C, L, mu)
     return _rows_below(C, fill)
 
 
 def enumerate_integral(C, L):
     """All points of the top-row slice differing from L by integers below the
     top row, in deterministic lexicographic order."""
-    return IntegralPointSet(L, tuple(_walk(L, _integral_rows(C, L))))
+    return IntegralPointSet(L, tuple(_walk(L, _row_map(C, L))))
 
 
 def enumerate_integral_weight(C, L, mu):
     """Points of the weight slice: row sums pinned, enumerated row by row."""
-    return IntegralPointSet(L, tuple(_walk(L, _weight_rows(C, L, mu))))
+    return IntegralPointSet(L, tuple(_walk(L, _row_map(C, L, mu))))
 
 
 def count_integral(C, L):
     """len(enumerate_integral(C, L).points), without building the points."""
-    return _count(L, _integral_rows(C, L))
+    return _count(L, _row_map(C, L))
 
 
 def count_integral_weight(C, L, mu):
     """len(enumerate_integral_weight(C, L, mu).points), without building the
     points."""
-    return _count(L, _weight_rows(C, L, mu))
+    return _count(L, _row_map(C, L, mu))
 
 
 def first_points(C, L, limit, mu=None):
@@ -342,22 +336,8 @@ def first_points(C, L, limit, mu=None):
     lists, or with mu enumerate_integral_weight(C, L, mu), and the first
     limit of them (all with limit None), in the same order.  The count and
     the points share one row map, and no later point is built."""
-    below = _integral_rows(C, L) if mu is None else _weight_rows(C, L, mu)
+    below = _row_map(C, L, mu)
     return _count(L, below), tuple(islice(_walk(L, below), limit))
-
-
-def _equality_rows(system):
-    n = system.n
-    starts = row_starts(n)
-    rows = []
-    if system.eq_top is not None:
-        rows += [{starts[n] + r: 1} for r in range(1, n + 1)]
-    if system.eq_weights is not None:
-        for k in range(1, n + 1):
-            row = {starts[k] + i: 1 for i in range(1, k + 1)}
-            row.update((starts[k - 1] + i, -1) for i in range(1, k))
-            rows.append(row)
-    return rows
 
 
 def face_dim_oracle(system, X):
@@ -371,15 +351,20 @@ def face_dim_oracle(system, X):
     if X.n != n:
         raise Infeasible(f"pattern has n={X.n}, system has n={n}")
     ncols = n * (n + 1) // 2
-    rows = _equality_rows(system)
+    rows = []
     ents, starts = X.entries, row_starts(n)
     if system.eq_top is not None:
         for r in range(1, n + 1):
             if ents[starts[n] + r] != system.eq_top[r - 1]:
                 raise Infeasible(f"top-row pin violated at column {r}")
+            rows.append({starts[n] + r: 1})
     if system.eq_weights is not None:
         if weight_vector(X) != system.eq_weights:
             raise Infeasible("weight pins violated")
+        for k in range(1, n + 1):
+            row = {starts[k] + i: 1 for i in range(1, k + 1)}
+            row.update((starts[k - 1] + i, -1) for i in range(1, k))
+            rows.append(row)
     zero = Entry.rational(0)
     for src, dst in system.inequalities:
         a, b = starts[src[0]] + src[1], starts[dst[0]] + dst[1]

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: outputs, determinism, and exit codes."""
 
+import io
 import json
 import random
 from collections import Counter
@@ -37,6 +38,11 @@ def test_gen_matches_library(capsys):
                     "--format", "text")
     assert code == 0
     assert fileio.parse_relations(out) == standard_set(4, 1, "both")
+    for argv, C in ((["--family", "C1", "--n", "3", "--format", "json"], standard_set(3, 1, "both")),
+                    (["--family", "Ck", "--k", "2", "--n", "4"], standard_set(4, 2, "both"))):
+        code, out = run(capsys, "gen", *argv)
+        assert code == 0
+        assert out == json.dumps(fileio.relations_to_json(C), sort_keys=True) + "\n"
 
 
 def test_gen_requires_k(capsys):
@@ -111,6 +117,11 @@ def test_enumerate(capsys, tmp_path):
     obj = json.loads(out)
     assert obj["count"] == 8 and len(obj["points"]) == 3
 
+    code, out = run(capsys, "enumerate", "--relations", str(rel),
+                    "--pattern", str(pat), "--mu", "1,x")
+    assert (code, out) == (2, '{"error": {"code": "parse_error", '
+                              '"message": "bad rational list \'1,x\'"}}\n')
+
 
 @pytest.mark.parametrize("mu", [None, "2,2,2"])
 def test_enumerate_limit_is_the_full_output_sliced(capsys, tmp_path, mu):
@@ -180,24 +191,68 @@ def test_commutators_limit_matches_the_sliced_basis(capsys, tmp_path, case):
     assert outcomes == ({0} if case == "ok" else {1} if count is None else {0, 1})
 
 
-@pytest.mark.parametrize("argv", [
-    ["enumerate", "--limit", "-1"],
-    ["commutators", "--limit", "-3"],
-    ["selftest", "--count", "-5"],
-], ids=["enumerate", "commutators", "selftest"])
-def test_negative_limit_is_usage_error(capsys, tmp_path, argv):
+@pytest.mark.parametrize("argv, low", [
+    (["enumerate", "--limit", "-1"], 0),
+    (["commutators", "--limit", "-3"], 0),
+    (["selftest", "--count", "-5"], 0),
+    (["gen", "--n", "0", "--family", "C1"], 1),
+    (["gen", "--n", "-1", "--family", "C1"], 1),
+], ids=["enumerate", "commutators", "selftest", "gen-n-0", "gen-n-neg"])
+def test_negative_limit_is_usage_error(capsys, tmp_path, argv, low):
     rel = tmp_path / "c1.rel"
     rel.write_text(fileio.dump_relations(standard_set(3, 1, "both")))
     pat = tmp_path / "l.pat"
     pat.write_text("2 1 0\n1 0\n0\n")
-    if argv[0] != "selftest":
+    if argv[0] not in ("selftest", "gen"):
         argv = argv + ["--relations", str(rel), "--pattern", str(pat)]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"argument {argv[1]}: must be >= 0, got {argv[2]}" in captured.err
+    assert f"argument {argv[1]}: must be >= {low}, got {argv[2]}" in captured.err
+
+
+# The text format prints one "key: value" line per JSON key, sorted, on C1
+# at n=3 and the base 2 1 0 | 1 0 | 0.
+TEXT_OUTPUTS = {
+    "check": "admissible: Admissible\nreduced: True\ntop_connected: True\n",
+    "tile": ("kernel: []\nmatrix: [[1, 0], [0, 1]]\n"
+             "tiles: [{'vertices': [[1, 1], [2, 2], [3, 3]], 'lambda1_free': False, "
+             "'lambda2_free': False}, {'vertices': [[2, 1], [3, 2]], 'lambda1_free': False, "
+             "'lambda2_free': False}, {'vertices': [[3, 1]], 'lambda1_free': False, "
+             "'lambda2_free': False}]\n"),
+    "facedim": "d: 3\nr: 0\ns: 0\n",
+    "enumerate": ("bounded: True\ncount: 8\npoints: ['2 1 0\\n1 0\\n0', '2 1 0\\n1 0\\n1']\n"
+                  "unbounded_coordinates: []\n"),
+    "commutators": "checked: 8\nfailures: []\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(TEXT_OUTPUTS))
+def test_text_format(capsys, tmp_path, command):
+    rel, pat = tmp_path / "c1.rel", tmp_path / "l.pat"
+    rel.write_text(fileio.dump_relations(standard_set(3, 1, "both")))
+    pat.write_text("2 1 0\n1 0\n0\n")
+    argv = [command, "--relations", str(rel), "--format", "text"]
+    if command != "check":
+        argv += ["--pattern", str(pat)]
+    if command == "enumerate":
+        argv += ["--limit", "2"]
+    assert run(capsys, *argv) == (0, TEXT_OUTPUTS[command])
+
+
+@pytest.mark.parametrize("extra, points", [
+    ([], ["5"]), (["--mu", "5"], ["5"]), (["--limit", "0"], []),
+], ids=["plain", "mu", "limit-0"])
+def test_enumerate_n1(capsys, tmp_path, extra, points):
+    rel, pat = tmp_path / "one.rel", tmp_path / "one.pat"
+    rel.write_text("n 1\n")
+    pat.write_text("5\n")
+    code, out = run(capsys, "enumerate", "--relations", str(rel), "--pattern", str(pat), *extra)
+    assert code == 0
+    assert json.loads(out) == {"count": 1, "points": points, "bounded": True,
+                               "unbounded_coordinates": []}
 
 
 def test_enumerate_unbounded_is_domain_error(capsys, tmp_path):
@@ -264,7 +319,7 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
         "error": {"code": "internal", "message": "KeyError: 'lost'"}}
 
 
-def test_act(capsys, tmp_path):
+def test_act(capsys, monkeypatch, tmp_path):
     rel = tmp_path / "c1.rel"
     rel.write_text(fileio.dump_relations(standard_set(2, 1, "both")))
     pat = tmp_path / "l.pat"
@@ -279,6 +334,9 @@ def test_act(capsys, tmp_path):
     assert code == 0
     result = fileio.lincomb_from_json(json.loads(out))
     assert result == LinComb.single(Pattern.from_rows([[1, 0], [1]]))
+    monkeypatch.setattr("sys.stdin", io.StringIO(vec.read_text()))
+    assert run(capsys, "act", "--relations", str(rel), "--pattern", str(pat),
+               "--generator", "E 1 2", "--input", "-") == (0, out)
 
 
 def test_act_bad_generator(capsys, tmp_path):
@@ -352,6 +410,11 @@ MALFORMED = {
     "pattern-text-empty-enclosure": ("pattern", "sqrt2 1 0\nsqrt2-1 0\n0\nsqrt2 = 1.42 1.41\n",
                                      "line 4: empty enclosure, 1.42 > 1.41"),
     "pattern-label-offset": ("pattern", "a+1/0 1 0\n1 0\n0\na = 1 2\n", "bad entry token 'a+1/0'"),
+    "pattern-sidecar-bad-number": ("pattern", "a 1 0\na-1 0\n0\na = 1.4x 1.42\n",
+                                   "bad number '1.4x'"),
+    "pattern-sidecars-only": ("pattern", "a = 1.41 1.42\n", "no pattern rows found"),
+    "relations-no-header": ("relations", "2 1 -> 1 1\n", "line 1: expected header 'n <int>'"),
+    "relations-no-n-line": ("relations", "# empty\n", "missing 'n <int>' header"),
     "relations-n-0": ("relations", "n 0\n", "line 1: n must be a positive integer, got 0"),
     "relations-n-neg": ("relations", "n -2\n", "line 1: n must be a positive integer, got -2"),
     "relations-json-n-0": ("relations", '{"n": 0, "relations": []}',
@@ -364,6 +427,8 @@ MALFORMED = {
                         "bad combination JSON"),
     **{f"generator-{spec}": ("generator", spec, f"generator indices in {spec!r} out of range 1..3")
        for spec in ("E 0 1", "E 3 4", "E 0 0", "E 4 4")},
+    "generator-F 1 2": ("generator", "F 1 2", "generator spec must be 'E k l', got 'F 1 2'"),
+    "generator-E a b": ("generator", "E a b", "bad generator indices in 'E a b'"),
 }
 
 

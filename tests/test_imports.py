@@ -1,10 +1,12 @@
 """The package imports only the standard library and itself, at module level."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "relpoly"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "relpoly"
 
 
 def test_imports_are_module_level_and_stdlib_only():
@@ -26,6 +28,25 @@ def test_imports_are_module_level_and_stdlib_only():
                     [alias.name for alias in node.names]
                 assert all(name.split(".")[0] in sys.stdlib_module_names | {"relpoly"}
                            for name in names), where
+
+
+def test_console_script_names_a_callable():
+    # pyproject.toml is read line by line: Python 3.10 has no tomllib.
+    section, scripts = None, {}
+    for line in (ROOT / "pyproject.toml").read_text().splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line
+        elif section == "[project.scripts]" and "=" in line:
+            name, _, target = line.partition("=")
+            scripts[name.strip()] = target.strip().strip("\"'")
+    assert set(scripts) == {"relpoly"}
+    for target in scripts.values():
+        module, _, attr = target.partition(":")
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), target
 
 
 def test_modaction_keeps_no_state_between_calls():

@@ -3,9 +3,10 @@
 import ast
 import pickle
 import random
+import re
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 from math import ceil, floor
 from pathlib import Path
 
@@ -34,8 +35,6 @@ from relpoly.patterns import (
 )
 from relpoly.polyhedra import (
     IntegralPointSet,
-    _certificates,
-    _relation_bounds,
     assemble,
     count_integral,
     count_integral_weight,
@@ -46,7 +45,7 @@ from relpoly.polyhedra import (
     is_polytope,
     system_at,
 )
-from relpoly.relations import RelationSet, connected_components, standard_set
+from relpoly.relations import RelationSet, connected_components, standard_set, vertices
 from relpoly.selftest import random_c_pattern
 from relpoly.tiling import kernel, kernel_dim, min_face_dims, tiling_matrix
 from test_patterns import (
@@ -57,7 +56,7 @@ from test_patterns import (
     reference_weight_vector,
     varied_entry,
 )
-from test_relations import random_relation_set
+from test_relations import random_relation_set, ref_reach
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "relpoly"
 
@@ -112,6 +111,16 @@ def test_enumerate_integral_counts():
     C2 = standard_set(2, 1, "both")
     assert len(enumerate_integral(C2, gt_base((1, 0))).points) == 2
     assert len(enumerate_integral(C2, gt_base((0, 0))).points) == 1
+
+
+def test_enumerate_and_count_at_n1():
+    C, L = RelationSet(1, []), Pattern.from_rows([[5]])
+    assert [str(P) for P in enumerate_integral(C, L).points] == ["5"]
+    assert [str(P) for P in enumerate_integral_weight(C, L, [5]).points] == ["5"]
+    assert count_integral(C, L) == count_integral_weight(C, L, [5]) == 1
+    assert first_points(C, L, 0) == first_points(C, L, 0, [5]) == (1, ())
+    with pytest.raises(WeightMismatch):
+        count_integral_weight(C, L, [4])
 
 
 def test_enumerate_integral_points_valid():
@@ -211,6 +220,9 @@ def test_face_dim_oracle_infeasible():
     X = Pattern.from_rows([[1, 0], [2]])
     with pytest.raises(Infeasible):
         face_dim_oracle(system_at(C, X, "pc"), X)
+    Y = gt_base((2, 1, 0))
+    with pytest.raises(Infeasible, match=r"^pattern has n=3, system has n=2$"):
+        face_dim_oracle(system_at(C, X, "mu"), Y)
 
 
 def test_oracle_matches_tile_counts():
@@ -401,17 +413,37 @@ def test_counts_match_weyl_dims():
         weyl_dim((1, 1, 0))
 
 
+def reference_bounds(C):
+    """Per vertex, the vertices that bound it by one arc: (uppers, lowers)."""
+    uppers = {v: [] for v in vertices(C.n)}
+    lowers = {v: [] for v in vertices(C.n)}
+    for src, dst in C.relations:
+        uppers[dst].append(src)
+        lowers[src].append(dst)
+    return uppers, lowers
+
+
+def reference_certificates(C):
+    """Per vertex, the top-row columns above it and below it by a path, by
+    the test-side closure; and the vertices below the top row that lack
+    either."""
+    reach = ref_reach(C)
+    tops = [(C.n, r) for r in range(1, C.n + 1)]
+    ubs = {v: [t[1] for t in tops if v in reach[t]] for v in vertices(C.n)}
+    lbs = {v: [t[1] for t in tops if t in reach[v]] for v in vertices(C.n)}
+    missing = tuple(v for v in vertices(C.n)
+                    if v[0] < C.n and not (ubs[v] and lbs[v]))
+    return ubs, lbs, missing
+
+
 def reference_enumerate_integral(C, L):
     """Backtracking over the vertices below the top row, one at a time."""
     if not satisfies(C, L):
         raise NotSatisfying("base pattern does not satisfy the relation set")
-    report = is_polytope(C)
-    if not report.bounded:
-        raise Unbounded(
-            f"no finite enumeration: unbounded at {report.unbounded_coordinates}"
-        )
-    ubs, lbs = _certificates(C)
-    uppers, lowers = _relation_bounds(C)
+    ubs, lbs, missing = reference_certificates(C)
+    if missing:
+        raise Unbounded(f"no finite enumeration: unbounded at {missing}")
+    uppers, lowers = reference_bounds(C)
     order = [
         (k, i) for k in range(C.n - 1, 0, -1) for i in range(1, k + 1)
     ]
@@ -479,7 +511,7 @@ def reference_enumerate_integral_weight(C, L, mu):
         for e in L.row(k):
             if not e.is_rational:
                 raise NonRationalWeight("weight slice needs rational lower rows")
-    uppers, lowers = _relation_bounds(C)
+    uppers, lowers = reference_bounds(C)
     partial = {(C.n, r): L[(C.n, r)] for r in range(1, C.n + 1)}
     results = []
 
@@ -694,12 +726,30 @@ def test_enumerate_integral_matches_reference():
     assert min(kinds.values()) >= 30, kinds
 
 
+def open_entry_case(rng):
+    """C1 "both" at n = 4 or 5 without the lower arc of one entry i >= 2 of
+    a row m >= 3 and the upper arc of another, and now and then without
+    another arc: two bounds of row m stay open on opposite sides, so the
+    weight slice is unbounded at an entry past the first."""
+    n = rng.choice((4, 5))
+    m = rng.randint(3, n - 1)
+    a, b = rng.sample(range(2, m + 1), 2)
+    dropped = {((m, a), (m + 1, a + 1)), ((m + 1, b), (m, b))}
+    C = RelationSet(n, [arc for arc in standard_set(n, 1, "both")
+                        if arc not in dropped and rng.random() >= 0.05])
+    return C, random_base(rng, C, 2)
+
+
+def weight_cases(rng, make_case, count):
+    for _ in range(count):
+        C, L = make_case(rng)
+        yield C, L, random_weight(rng, L)
+
+
 def test_enumerate_integral_weight_matches_reference():
-    rng = random.Random(4047)
-    kinds = {"points": 0, "raised": 0}
-    for _ in range(300):
-        C, L = random_case(rng)
-        mu = random_weight(rng, L)
+    kinds = {"points": 0, "raised": 0, "open past entry 1": 0}
+    for C, L, mu in chain(weight_cases(random.Random(4047), random_case, 300),
+                          weight_cases(random.Random(4048), open_entry_case, 60)):
         got = outcome(enumerate_integral_weight, C, L, mu)
         assert_same_outcome(
             got, outcome(reference_enumerate_integral_weight, C, L, mu), (C, str(L), mu)
@@ -708,6 +758,9 @@ def test_enumerate_integral_weight_matches_reference():
         if isinstance(got, list):
             assert count_integral_weight(C, L, mu) == len(got)
             assert first_points(C, L, 2, mu) == (len(got), tuple(got[:2]))
+        elif re.fullmatch(r"no finite search interval for coordinate \(\d+, [2-9]\)",
+                          got[1]):
+            kinds["open past entry 1"] += 1
     assert min(kinds.values()) >= 30, kinds
 
 
