@@ -76,29 +76,29 @@ def relations_from_json(obj):
     return RelationSet(n, rels)
 
 
-def _parse_entry(tok, labels):
+def _parse_entry(tok, labels, where):
     m = _LABEL_RE.match(tok)
     if m and m.group(1) not in labels:
-        raise ParseError(f"unknown label {m.group(1)!r} (missing sidecar line?)")
+        raise ParseError(f"{where}: unknown label {m.group(1)!r} (missing sidecar line?)")
     try:
         if m is None:
             return Entry.rational(Fraction(tok))
         name, offset = m.groups()
         return Entry.labeled(name, *labels[name], Fraction(offset or 0))
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad entry token {tok!r}") from None
+        raise ParseError(f"{where}: bad entry token {tok!r}") from None
 
 
-def _parse_decimal(tok):
+def _parse_decimal(tok, where):
     try:
         return Fraction(tok)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad number {tok!r}") from None
+        raise ParseError(f"{where}: bad number {tok!r}") from None
 
 
 def _enclosure(lo, hi, where):
     """A label's enclosure (lo, hi) as rationals, with lo <= hi."""
-    enclosure = _parse_decimal(lo), _parse_decimal(hi)
+    enclosure = _parse_decimal(lo, where), _parse_decimal(hi, where)
     if enclosure[0] > enclosure[1]:
         raise ParseError(f"{where}: empty enclosure, {lo} > {hi}")
     return enclosure
@@ -131,7 +131,7 @@ def parse_pattern(text):
     for expected, (lineno, toks) in zip(range(n, 0, -1), row_lines):
         if len(toks) != expected:
             raise ParseError(f"line {lineno}: expected {expected} entries")
-        rows.append([_parse_entry(t, labels) for t in toks])
+        rows.append([_parse_entry(t, labels, f"line {lineno}") for t in toks])
     return Pattern.from_rows(rows)
 
 
@@ -173,7 +173,7 @@ def pattern_from_json(obj):
             for v in labels.values())):
         raise ParseError("bad pattern JSON: labels must map each name to [lo, hi] strings")
     labels = {name: _enclosure(lo, hi, f"label {name!r}") for name, (lo, hi) in labels.items()}
-    entries = [_parse_entry(t, labels) for t in toks]
+    entries = [_parse_entry(t, labels, f"entries[{i}]") for i, t in enumerate(toks)]
     if len(entries) != n * (n + 1) // 2:
         raise ParseError("wrong number of entries for n")
     return Pattern(n, tuple(entries))

@@ -31,7 +31,7 @@ from .patterns import (
     satisfies,
     weight_vector,
 )
-from .relations import support, vertices
+from .relations import _bounds, support
 
 
 @dataclass(frozen=True)
@@ -85,26 +85,11 @@ def system_at(C, X, which, plus=False):
     raise ValueError(f"unknown system kind {which!r}")
 
 
-def _certificates(C):
-    """Per vertex: top-row columns bounding it from above and from below."""
-    reach = C.reach
-    ubs, lbs = {}, {}
-    for v in vertices(C.n):
-        ubs[v] = [r for r in range(1, C.n + 1) if v in reach[(C.n, r)]]
-        lbs[v] = [r for r in range(1, C.n + 1) if (C.n, r) in reach[v]]
-    return ubs, lbs
-
-
-def _uncertified(C, ubs, lbs):
-    """Vertices below the top row that lack a certificate."""
-    return tuple(
-        v for v in vertices(C.n) if v[0] < C.n and (not ubs[v] or not lbs[v])
-    )
-
-
 def is_polytope(C):
-    """Bounded iff every vertex below the top row has both certificates."""
-    missing = _uncertified(C, *_certificates(C))
+    """Bounded iff every vertex below the top row reaches a top-row vertex and
+    is reached from one."""
+    bounds = _bounds(C, {(C.n, r): 0 for r in range(1, C.n + 1)})
+    missing = tuple(v for v, b in bounds.items() if None in b)
     return BoundednessReport(not missing, missing)
 
 
@@ -216,19 +201,14 @@ def _integral_rows(C, L):
     """The fill of the row map of C's points over L's top row.
 
     Each vertex below the top row gets its range of floors once, from the
-    top-row columns that certify its bounds: the arcs of a path keep label
-    and fractional part, so the floors along it fall too."""
-    ubs, lbs = _certificates(C)
-    missing = _uncertified(C, ubs, lbs)
+    floors of the top-row entries that it reaches and that reach it: the arcs
+    of a path keep label and fractional part, so the floors along it fall
+    too."""
+    bounds = _bounds(C, {(C.n, r): y for r, y in enumerate(_top_row(L), 1)})
+    missing = tuple(v for v, b in bounds.items() if None in b)
     if missing:
         raise Unbounded(f"no finite enumeration: unbounded at {missing}")
-    top = _top_row(L)
-    spans = {
-        k: [(max(top[r - 1] for r in lbs[(k - 1, i)]),
-             min(top[r - 1] for r in ubs[(k - 1, i)]))
-            for i in range(1, k)]
-        for k in range(2, C.n + 1)
-    }
+    spans = {k: [bounds[(k - 1, i)] for i in range(1, k)] for k in range(2, C.n + 1)}
 
     def fill(k, los, his):
         return list(product(*(

@@ -280,15 +280,36 @@ def check_admissible(C):
     return AdmissibilityResult("admissible")
 
 
+def _bounds(C, values):
+    """Per vertex v, (lo, hi): the greatest values[w] over the keys w that v
+    reaches and the least values[u] over the keys u that reach v, v itself
+    included, and None on a side with no such key.
+
+    Relaxes C's arcs until nothing moves, lo from dst to src and hi from src
+    to dst: Bellman-Ford on the constraints x_src >= x_dst.  It reads the
+    relations, not the closure.  Each pass takes the arcs from the top row
+    down, so that on C1 the values at the top row settle in one pass."""
+    lo = {v: values.get(v) for v in vertices(C.n)}
+    hi = dict(lo)
+    moved = True
+    while moved:
+        moved = False
+        for src, dst in reversed(C.relations):
+            a, b = lo[dst], lo[src]
+            if a is not None and (b is None or b < a):
+                lo[src] = a
+                moved = True
+            a, b = hi[src], hi[dst]
+            if a is not None and (b is None or a < b):
+                hi[dst] = a
+                moved = True
+    return {v: (lo[v], hi[v]) for v in lo}
+
+
 def is_top_connected(C):
     """Every supported vertex below the top row reaches some top-row vertex."""
-    reach = C.reach
-    for v in support(C):
-        if v[0] == C.n:
-            continue
-        if not any((C.n, r) in reach[v] for r in range(1, C.n + 1)):
-            return False
-    return True
+    bounds = _bounds(C, {(C.n, r): 0 for r in range(1, C.n + 1)})
+    return all(bounds[v][0] is not None for v in support(C))
 
 
 def structural_noncritical(C):

@@ -7,7 +7,7 @@ from fractions import Fraction
 from .modaction import check_commutators, weyl_dim
 from .patterns import Pattern
 from .polyhedra import count_integral, enumerate_integral, face_dim_oracle, system_at
-from .relations import standard_set, vertices
+from .relations import _bounds, standard_set, vertices
 from .tiling import min_face_dims
 
 FACE_DIM_FAMILIES = (
@@ -36,19 +36,14 @@ def gt_base(lam):
 def random_c_pattern(rng, C, width=4):
     """Random integer pattern in [0, width] repaired into a relation pattern.
 
-    The repair decreases violated targets, which keeps entries integral and
-    produces frequent ties (interesting tilings).
+    Each entry is lowered to the least value drawn at the vertices that
+    reach it (itself included), which keeps entries integral and produces
+    frequent ties (interesting tilings).
     """
     vals = {v: rng.randint(0, width) for v in vertices(C.n)}
-    changed = True
-    while changed:
-        changed = False
-        for src, dst in C:
-            if vals[src] < vals[dst]:
-                vals[dst] = vals[src]
-                changed = True
+    bounds = _bounds(C, vals)
     rows = [
-        [Fraction(vals[(k, i)]) for i in range(1, k + 1)]
+        [Fraction(bounds[(k, i)][1]) for i in range(1, k + 1)]
         for k in range(C.n, 0, -1)
     ]
     return Pattern.from_rows(rows)

@@ -409,9 +409,17 @@ MALFORMED = {
         "label 'a': empty enclosure, 1.42 > 1.41"),
     "pattern-text-empty-enclosure": ("pattern", "sqrt2 1 0\nsqrt2-1 0\n0\nsqrt2 = 1.42 1.41\n",
                                      "line 4: empty enclosure, 1.42 > 1.41"),
-    "pattern-label-offset": ("pattern", "a+1/0 1 0\n1 0\n0\na = 1 2\n", "bad entry token 'a+1/0'"),
+    "pattern-label-offset": ("pattern", "a+1/0 1 0\n1 0\n0\na = 1 2\n",
+                             "line 1: bad entry token 'a+1/0'"),
     "pattern-sidecar-bad-number": ("pattern", "a 1 0\na-1 0\n0\na = 1.4x 1.42\n",
-                                   "bad number '1.4x'"),
+                                   "line 4: bad number '1.4x'"),
+    "pattern-text-unknown-label": ("pattern", "2 1 0\n1 b\n0\n",
+                                   "line 2: unknown label 'b' (missing sidecar line?)"),
+    "pattern-json-label-bad-number": (
+        "pattern", '{"n": 1, "entries": ["a"], "labels": {"a": ["1.4x", "1.5"]}}',
+        "label 'a': bad number '1.4x'"),
+    "pattern-json-unknown-label": ("pattern", '{"n": 3, "entries": ["2", "1", "0", "1", "x", "0"]}',
+                                   "entries[4]: unknown label 'x' (missing sidecar line?)"),
     "pattern-sidecars-only": ("pattern", "a = 1.41 1.42\n", "no pattern rows found"),
     "relations-no-header": ("relations", "2 1 -> 1 1\n", "line 1: expected header 'n <int>'"),
     "relations-no-n-line": ("relations", "# empty\n", "missing 'n <int>' header"),
@@ -481,6 +489,11 @@ FUZZ_INPUTS = [{"terms": VECTOR["terms"] + [
 FUZZ_TOKENS = ["-1", "0", "1", "2", "3", "x", "1/0", "1/2", "a", "a+1", "->", "=", "n", "{", "#"]
 FUZZ_VALUES = [-1, 0, 1, 3, 1.5, True, None, float("inf"), "x", "1/0", "1/2", "a", "a+1/0",
                [], {}, [1], ["1", "0"], {"a": ["1", "2"]}, {"a": ["2", "1"]}]
+FUZZ_GENERATORS = ["E 1 2", "E 2 1", "E 2 2", "E 2 3"]
+FUZZ_INDICES = ["-1", "0", "1", "2", "3", "4", "9", "x", "1.5", "", "E", "F"]
+# Weights of the seed patterns' top rows (sum 3), and one of another sum.
+FUZZ_MUS = ["1,1,1", "2,1,0", "0,1,2", "1,2,0", "3,0,0"]
+FUZZ_RATIONALS = ["-1", "0", "1", "2", "3", "1/2", "1/0", "x", "", "a", "1e400", "nan"]
 
 
 def mutate_text(rng, text):
@@ -532,6 +545,21 @@ def mutate_json(rng, obj):
     return obj
 
 
+def fuzz_option(rng, seeds, sep, tokens, mutate):
+    """A seed option value, or with mutate one to three edits of its
+    sep-separated tokens: a token replaced, deleted or inserted."""
+    toks = rng.choice(seeds).split(sep)
+    for _ in range(rng.randint(1, 3) if mutate else 0):
+        op = rng.randrange(3)
+        if op == 0 and toks:
+            toks[rng.randrange(len(toks))] = rng.choice(tokens)
+        elif op == 1 and toks:
+            del toks[rng.randrange(len(toks))]
+        else:
+            toks.insert(rng.randint(0, len(toks)), rng.choice(tokens))
+    return sep.join(toks)
+
+
 def fuzz_file(rng, seeds, mutate):
     seed = rng.choice(seeds)
     if isinstance(seed, str):
@@ -544,14 +572,18 @@ def fuzz_file(rng, seeds, mutate):
 
 def test_fuzzed_files_end_in_typed_errors(capsys, tmp_path):
     """Mutated relation, pattern and combination files, text and JSON, through
-    every subcommand that reads files: every run exits 0, 1 or 2, and no
-    error is an internal one."""
+    every subcommand that reads files, and mutated --generator and --mu
+    values: every run exits 0, 1 or 2, and no error is an internal one."""
     rng = random.Random(12)
     codes = Counter()
-    for _ in range(300):
-        target = rng.choice(("relations", "pattern", "input"))
-        commands = ["act"] if target == "input" else ["tile", "facedim", "enumerate",
-                                                      "commutators", "act"]
+    for _ in range(400):
+        target = rng.choice(("relations", "pattern", "input", "generator", "mu"))
+        if target in ("input", "generator"):
+            commands = ["act"]
+        elif target == "mu":
+            commands = ["enumerate"]
+        else:
+            commands = ["tile", "facedim", "enumerate", "commutators", "act"]
         command = rng.choice(commands + ["check"] * (target == "relations"))
         files = {"relations": fuzz_file(rng, FUZZ_RELATIONS, target == "relations")}
         if command != "check":
@@ -559,14 +591,19 @@ def test_fuzzed_files_end_in_typed_errors(capsys, tmp_path):
         argv = [command]
         if command == "act":
             files["input"] = fuzz_file(rng, FUZZ_INPUTS, target == "input")
-            argv += ["--generator", rng.choice(("E 1 2", "E 2 1", "E 2 2", "E 2 3"))]
+            argv.append("--generator=" + fuzz_option(rng, FUZZ_GENERATORS, " ", FUZZ_INDICES,
+                                                     target == "generator"))
+        if command == "enumerate" and (target == "mu" or rng.random() < 0.3):
+            argv.append("--mu=" + fuzz_option(rng, FUZZ_MUS, ",", FUZZ_RATIONALS, target == "mu"))
         for name, text in files.items():
             path = tmp_path / name
             path.write_text(text)
             argv += [f"--{name}", str(path)]
         code, out = run(capsys, *argv)
         codes[code] += 1
-        assert code in (0, 1, 2), (files, out)
+        codes[target, code] += 1
+        assert code in (0, 1, 2), (files, argv, out)
         if code:
-            assert json.loads(out)["error"]["code"] != "internal", (files, out)
+            assert json.loads(out)["error"]["code"] != "internal", (files, argv, out)
+    assert codes["generator", 2] >= 40 and min(codes["mu", 1], codes["mu", 2]) >= 15, codes
     assert min(codes[0], codes[1]) >= 10 and codes[2] >= 100, codes

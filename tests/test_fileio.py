@@ -10,6 +10,7 @@ from relpoly.errors import ParseError
 from relpoly.modaction import LinComb
 from relpoly.patterns import Entry, Pattern
 from relpoly.relations import RelationSet, standard_set
+from test_relations import random_relation_set, ref_reach
 
 
 def test_relations_text_roundtrip():
@@ -96,21 +97,43 @@ def test_lincomb_json_roundtrip():
         fileio.lincomb_from_json({"terms": [{"coeff": "1"}]})
 
 
+def random_entry(rng):
+    """A rational, or now and then a sqrt label with a rational offset."""
+    offset = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    if rng.random() < 0.3:
+        return Entry.sqrt(rng.choice((2, 3, 5, 7))).add(offset)
+    return offset
+
+
 def test_random_roundtrips():
     rng = random.Random(31)
-    for _ in range(25):
+    labeled = 0
+    for _ in range(60):
         n = rng.randint(1, 5)
-        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                 for _ in range(k)] for k in range(n, 0, -1)]
-        X = Pattern.from_rows(rows)
-        assert fileio.parse_pattern(fileio.dump_pattern(X)) == X
+        X = Pattern.from_rows([[random_entry(rng) for _ in range(k)] for k in range(n, 0, -1)])
+        labeled += any(e.label is not None for e in X.entries)
+        text = fileio.dump_pattern(X)
+        assert fileio.parse_pattern(text) == X
+        assert fileio.dump_pattern(fileio.parse_pattern(text)) == text
         assert fileio.pattern_from_json(fileio.pattern_to_json(X)) == X
+    assert labeled >= 20
     for _ in range(25):
         n = rng.randint(2, 5)
         C = standard_set(n, rng.randint(1, n),
                          rng.choice(("plus", "minus", "both")))
         assert fileio.parse_relations(fileio.dump_relations(C)) == C
         assert fileio.relations_from_json(fileio.relations_to_json(C)) == C
+    # Zero arcs and cycles, n 2-7.
+    cyclic = 0
+    for _ in range(200):
+        C = random_relation_set(rng)
+        reach = ref_reach(C)
+        cyclic += any(src in reach[dst] for src, dst in C)
+        text = fileio.dump_relations(C)
+        assert fileio.parse_relations(text) == C
+        assert fileio.dump_relations(fileio.parse_relations(text)) == text
+        assert fileio.relations_from_json(fileio.relations_to_json(C)) == C
+    assert cyclic >= 20
 
 
 def test_load_json_error():

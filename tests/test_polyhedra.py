@@ -104,6 +104,56 @@ def test_is_polytope():
     assert empty.unbounded_coordinates == ((1, 1), (2, 1), (2, 2))
 
 
+def test_is_polytope_matches_reference_on_random_sets():
+    # n 2-7, zero arcs and cycles included: the open coordinates are those
+    # that the test-side closure leaves without a certificate.
+    rng = random.Random(2201)
+    seen = Counter()
+    for _ in range(600):
+        C = random_relation_set(rng)
+        if rng.random() < 0.5:  # most of C1 `both` under it, so more are bounded
+            C = RelationSet(C.n, [a for a in standard_set(C.n, 1, "both") if rng.random() < 0.8]
+                            + list(C))
+        report = is_polytope(C)
+        missing = reference_certificates(C)[2]
+        assert (report.bounded, report.unbounded_coordinates) == (not missing, missing), C
+        reach = ref_reach(C)
+        seen["bounded"] += report.bounded
+        seen["cyclic"] += any(src in reach[dst] for src, dst in C)
+        seen["zero"] += any(src[0] == dst[0] for src, dst in C)
+    assert min(seen.values()) >= 50, seen
+
+
+def reference_random_c_pattern(rng, C, width=4):
+    """The fixed-point repair: lower the target of a violated arc to its
+    source's value until no arc is violated."""
+    vals = {v: rng.randint(0, width) for v in vertices(C.n)}
+    changed = True
+    while changed:
+        changed = False
+        for src, dst in C:
+            if vals[src] < vals[dst]:
+                vals[dst] = vals[src]
+                changed = True
+    return Pattern.from_rows([[vals[(k, i)] for i in range(1, k + 1)]
+                              for k in range(C.n, 0, -1)])
+
+
+def test_random_c_pattern_matches_fixed_point_repair():
+    rng = random.Random(2202)
+    cyclic = 0
+    for seed in range(400):
+        C = random_relation_set(rng) if seed % 4 else standard_set(
+            rng.randint(2, 8), 1, rng.choice(("both", "plus", "minus")))
+        width = rng.choice((1, 2, 4, 9))
+        X = random_c_pattern(random.Random(seed), C, width)
+        assert X == reference_random_c_pattern(random.Random(seed), C, width), C
+        assert satisfies(C, X)
+        reach = ref_reach(C)
+        cyclic += any(src in reach[dst] for src, dst in C)
+    assert cyclic >= 20
+
+
 def test_enumerate_integral_counts():
     C = standard_set(3, 1, "both")
     pts = enumerate_integral(C, gt_base((2, 1, 0))).points
@@ -830,8 +880,12 @@ def test_count_integral_errors():
 
 def test_enumerate_integral_n46_constant_pattern():
     # The rows are walked without recursion, so the depth does not grow
-    # with the n(n-1)/2 vertices below the top row.
+    # with the n(n-1)/2 vertices below the top row.  Boundedness and the
+    # row spans relax the arcs, so neither builds C.reach.
     C = standard_set(46, 1, "both")
     X = constant_pattern(46)
+    assert first_points(C, X, None) == (1, (X,))
+    assert is_polytope(C).bounded
+    assert "reach" not in vars(C)
     assert [str(P) for P in enumerate_integral(C, X).points] == [str(X)]
     assert count_integral(C, X) == 1
