@@ -15,7 +15,7 @@ from . import fileio
 from .errors import ParseError, RelpolyError
 from .modaction import RAISE, LOWER, CARTAN, act_in_basis, check_commutators
 from .patterns import weight_vector
-from .polyhedra import first_points, is_polytope
+from .polyhedra import BoundednessReport, first_points, is_polytope
 from .relations import check_admissible, is_reduced, is_top_connected, standard_set
 from .selftest import run_selftest
 from .tiling import (
@@ -147,8 +147,11 @@ def cmd_facedim(args, C, X):
 
 
 def cmd_enumerate(args, C, L):
-    report = is_polytope(C)
-    mu = None if args.mu is None else _csv_rationals(args.mu)
+    if args.mu is None:
+        # first_points raises Unbounded unless the polyhedron is bounded.
+        report, mu = BoundednessReport(True), None
+    else:
+        report, mu = is_polytope(C), _csv_rationals(args.mu)
     count, points = first_points(C, L, args.limit, mu)
     out = {
         "count": count,

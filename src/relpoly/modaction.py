@@ -80,6 +80,8 @@ def _scaled_rows(M, k, other):
     if len(qs) < k + other:
         raise LabeledEntryUnsupported(
             "generator action needs rational entries in the touched rows")
+    if all(q.__class__ is int for q in qs):  # integral offsets are ints
+        return 1, qs[:k], qs[k:]
     D = lcm(*[q.denominator for q in qs])
     ints = [q.numerator * (D // q.denominator) for q in qs]
     return D, ints[:k], ints[k:]

@@ -2,10 +2,14 @@
 
 An entry is ``base(label) + offset`` where the offset is an exact rational and
 the label stands for a fixed irrational base value, enclosed by a certified
-rational interval.  Two entries are equal iff labels and offsets coincide;
-their difference is an integer iff the labels coincide and the offset
-difference is an integer.  Order between different labels is decided through
-the intervals and raises when the intervals overlap.
+rational interval.  Offsets and enclosure bounds are ``int`` exactly when
+they are integral and ``Fraction`` otherwise: the values, their hashes and
+their ``str`` are those of the Fractions, but int arithmetic skips
+Fraction's Python-level methods on the hot paths.  Two entries are equal iff
+labels and offsets coincide; their difference is an integer iff the labels
+coincide and the offset difference is an integer.  Order between different
+labels is decided through the intervals and raises when the intervals
+overlap.
 """
 
 from dataclasses import dataclass, field
@@ -24,19 +28,22 @@ ENCLOSURE_BITS = 64
 
 
 def _frac(x):
-    if isinstance(x, Fraction):
+    """x as an exact rational: an int when it is integral, else a Fraction."""
+    if type(x) is int:
         return x
-    if isinstance(x, int) or isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot coerce {x!r} to an exact rational")
+    if isinstance(x, (int, str)):
+        x = Fraction(x)
+    elif not isinstance(x, Fraction):
+        raise TypeError(f"cannot coerce {x!r} to an exact rational")
+    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
 class Entry:
-    offset: Fraction
+    offset: Fraction  # int when integral (see _frac)
     label: str = None
-    lo: Fraction = field(default=None, compare=False)
-    hi: Fraction = field(default=None, compare=False)
+    lo: Fraction = field(default=None, compare=False)  # int when integral
+    hi: Fraction = field(default=None, compare=False)  # int when integral
 
     def __post_init__(self):
         object.__setattr__(self, "offset", _frac(self.offset))
@@ -49,14 +56,19 @@ class Entry:
                 raise ValueError("empty enclosure interval")
 
     def __eq__(self, other):
-        # The dataclass equality of (offset, label), with the offsets
-        # compared by their reduced numerators and denominators: Fraction's
-        # own == would first check the type of other against numbers.Rational.
+        # The dataclass equality of (offset, label).  An offset is an int
+        # exactly when it is integral, so offsets of two types differ, and
+        # Fractions are compared by their reduced numerators and
+        # denominators: Fraction's own == would first check the type of
+        # other against numbers.Rational.
         if other.__class__ is not self.__class__:
             return NotImplemented
         p, q = self.offset, other.offset
-        return (self.label == other.label and p.numerator == q.numerator
-                and p.denominator == q.denominator)
+        if self.label != other.label or p.__class__ is not q.__class__:
+            return False
+        if p.__class__ is int:
+            return p == q
+        return p.numerator == q.numerator and p.denominator == q.denominator
 
     def __hash__(self):
         # The dataclass hash of (offset, label), computed on first use and
@@ -107,7 +119,8 @@ class Entry:
         if type(q) is not int:
             return Entry(self.offset + _frac(q), self.label, self.lo, self.hi)
         # An int step keeps the label and enclosure, checked when self was
-        # made, so the new Entry skips the constructor.
+        # made, and the offset's type (int iff integral), so the new Entry
+        # skips the constructor.
         e = object.__new__(Entry)
         e.__dict__.update(offset=self.offset + q, label=self.label, lo=self.lo, hi=self.hi)
         return e
@@ -135,8 +148,9 @@ def cmp_entries(a, b):
     """-1, 0, 1 comparison; raises IncomparableEntries when undecidable."""
     if a.label == b.label:
         p, q = a.offset, b.offset
-        x, y = p.numerator * q.denominator, q.numerator * p.denominator
-        return (x > y) - (x < y)
+        if p.__class__ is not int or q.__class__ is not int:
+            p, q = p.numerator * q.denominator, q.numerator * p.denominator
+        return (p > q) - (p < q)
     alo, ahi = a.value_bounds()
     blo, bhi = b.value_bounds()
     if ahi < blo:
@@ -291,13 +305,17 @@ def satisfies(C, L):
 
     In int arithmetic: it is one iff the labels are equal, the offsets have
     the same reduced denominator, and their numerators differ by a
-    nonnegative multiple of it."""
+    nonnegative multiple of it.  Two int offsets need only p >= q."""
     _check_sizes(C, L)
     for src, dst in C:
         a, b = L[src], L[dst]
         if a.label != b.label:
             return False
         p, q = a.offset, b.offset
+        if p.__class__ is int and q.__class__ is int:
+            if p < q:
+                return False
+            continue
         den = p.denominator
         if q.denominator != den:
             return False
@@ -331,6 +349,8 @@ def _offset_sum(entries):
     """The sum of the entries' offsets as ints (num, den), over the lcm of
     their denominators."""
     offsets = [e.offset for e in entries]
+    if all(x.__class__ is int for x in offsets):
+        return sum(offsets), 1
     den = lcm(*(x.denominator for x in offsets))
     return sum(x.numerator * (den // x.denominator) for x in offsets), den
 

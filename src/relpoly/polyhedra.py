@@ -107,7 +107,9 @@ def _arcs_above(C):
 
 def _rows_below(C, fill):
     """The map (k, row k) -> the rows k-1 compatible with row k, in rising
-    order, memoised for one call.
+    order.  It keeps nothing between calls: _count asks once per distinct
+    row of each level and _walk keeps the children it has asked for, so
+    memory stays with the rows in use, not with the edges of the row DAG.
 
     A row is the tuple of the floors of its entries' offsets.  Below the top
     row a point differs from L by integers, and satisfies(C, L) gives the two
@@ -120,17 +122,13 @@ def _rows_below(C, fill):
     row are the caller's to check.
     """
     arcs = _arcs_above(C)
-    memo = {}
 
     def below(k, row):
-        rows = memo.get((k, row))
-        if rows is None:
-            los, his = [], []
-            for up_at, low_at in arcs[k]:
-                his.append(min([row[j] for j in up_at], default=None))
-                los.append(max([row[j] for j in low_at], default=None))
-            rows = memo[(k, row)] = fill(k, los, his)
-        return rows
+        los, his = [], []
+        for up_at, low_at in arcs[k]:
+            his.append(min([row[j] for j in up_at], default=None))
+            los.append(max([row[j] for j in low_at], default=None))
+        return fill(k, los, his)
 
     return below
 
@@ -141,9 +139,12 @@ def _top_row(L):
 
 
 def _walk(L, below):
-    """Every point, in offsets_key order: rows are chosen top-down and each
-    row rises.  Iterative, with a stack of at most n - 1 rows.  Each Entry is
-    built once per vertex and floor, and each point once, from Entries."""
+    """Every point, lazily, in offsets_key order: rows are chosen top-down
+    and each row rises.  Iterative, with a stack of at most n - 1 rows, and
+    the row-1 children of each row 2 taken in one inner loop that builds the
+    points.  Each Entry is built once per vertex and floor, each row's
+    Entries and children once per row reached, and each point once, from
+    Entries, without the Pattern constructor."""
     n = L.n
     top = tuple(L.row(n))
     if n == 1:
@@ -172,17 +173,27 @@ def _walk(L, below):
             out = kids[(k, row)] = [(r, entries(k - 1, r)) for r in below(k, row)]
         return out
 
-    stack = [(top, iter(children(n, _top_row(L))))]
+    new, put = object.__new__, object.__setattr__
+    # Level s of the stack holds the Entries of the rows above row
+    # n + 1 - s and an iterator over that row's choices, each a row with its
+    # Entries; level 1 holds the top row alone.
+    stack = [((), iter([(_top_row(L), top)]))]
     while stack:
         prefix, rows = stack[-1]
         step = next(rows, None)
         if step is None:
             stack.pop()
-        elif len(stack) == n - 1:
-            yield Pattern._from_entries(n, prefix + step[1])
-        else:
-            stack.append((prefix + step[1],
-                          iter(children(n - len(stack), step[0]))))
+            continue
+        row, ents = step
+        prefix += ents
+        if len(stack) < n - 1:
+            stack.append((prefix, iter(children(n + 1 - len(stack), row))))
+            continue
+        for _, last in children(2, row):
+            P = new(Pattern)
+            put(P, "n", n)
+            put(P, "entries", prefix + last)
+            yield P
 
 
 def _count(L, below):
@@ -315,7 +326,9 @@ def first_points(C, L, limit, mu=None):
     """(count, points): the number of points that enumerate_integral(C, L)
     lists, or with mu enumerate_integral_weight(C, L, mu), and the first
     limit of them (all with limit None), in the same order.  The count and
-    the points share one row map, and no later point is built."""
+    the points share one row map, which keeps no rows, and no later point
+    is built, so a small limit takes memory for the rows of a level or two,
+    not for the points or the edges between rows."""
     below = _row_map(C, L, mu)
     return _count(L, below), tuple(islice(_walk(L, below), limit))
 

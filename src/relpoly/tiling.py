@@ -167,7 +167,7 @@ def build_perturbation_basis(C, X):
     out = []
     for eps in eps_vectors:
         biggest = max(abs(x) for x in eps)
-        scale = gap / (4 * biggest)
+        scale = Fraction(gap, 4) / biggest  # gap may be an int: no float
         ents = [None] * (X.n * (X.n + 1) // 2)
         for k, tile in enumerate(tiling.tiles):
             for v in tile:

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from relpoly import cli, fileio
+from relpoly import cli, fileio, polyhedra
 from relpoly.cli import main
 from relpoly.errors import RelpolyError
 from relpoly.modaction import check_commutators
@@ -264,6 +264,27 @@ def test_enumerate_unbounded_is_domain_error(capsys, tmp_path):
                     "--pattern", str(pat))
     assert code == 1
     assert json.loads(out)["error"]["code"] == "unbounded"
+
+
+@pytest.mark.parametrize("family, extra, want", [
+    ("both", [], '"bounded": true, "count": 8'),
+    ("both", ["--limit", "1"], '"bounded": true, "count": 8'),
+    ("both", ["--mu", "1,1,1"], '"bounded": true, "count": 2'),
+    ("plus", [], '"code": "unbounded"'),
+    ("plus", ["--mu", "1,1,1"], '"bounded": false, "count": 2'),
+], ids=["plain", "limit", "mu", "unbounded", "unbounded-mu"])
+def test_enumerate_relaxes_the_arcs_once(capsys, tmp_path, monkeypatch, family, extra, want):
+    # Without --mu, first_points proves boundedness, so only --mu needs
+    # is_polytope; either way one _bounds relaxation per request.
+    calls = []
+    bounds = polyhedra._bounds
+    monkeypatch.setattr(polyhedra, "_bounds", lambda *a: calls.append(a) or bounds(*a))
+    rel, pat = tmp_path / "c.rel", tmp_path / "l.pat"
+    rel.write_text(fileio.dump_relations(standard_set(3, 1, family)))
+    pat.write_text("2 1 0\n1 0\n0\n")
+    code, out = run(capsys, "enumerate", "--relations", str(rel), "--pattern", str(pat), *extra)
+    assert want in out and code == (1 if "error" in out else 0)
+    assert len(calls) == 1
 
 
 def test_enumerate_n46_constant_pattern(capsys, tmp_path):

@@ -14,6 +14,7 @@ import pytest
 
 import relpoly
 from relpoly.errors import IncomparableEntries, NonRationalWeight, RelpolyError
+from relpoly.fileio import parse_pattern, pattern_from_json, pattern_to_json
 from relpoly.patterns import (
     Entry,
     Pattern,
@@ -490,7 +491,9 @@ def test_entry_add_int_step_matches_the_constructor():
         for k in (-3, -1, 0, 1, 2, 10):
             got, want = e.add(k), Entry(e.offset + k, e.label, e.lo, e.hi)
             assert vars(got) == vars(want) and "_hash" not in vars(got)
-            assert type(got) is Entry and type(got.offset) is Fraction
+            # The types agree with the constructor's: int iff integral.
+            assert type(got) is Entry and type(got.offset) is type(want.offset)
+            assert type(got.offset) is (Fraction if got.offset.denominator > 1 else int)
             assert got.lo is e.lo and got.hi is e.hi
             assert pickle.dumps(got) == pickle.dumps(want)
             back = pickle.loads(pickle.dumps(got))
@@ -503,6 +506,38 @@ def test_entry_add_int_step_matches_the_constructor():
         Entry.rational(1).add(0.5)
 
 
+def int_iff_integral(x):
+    """The offset and enclosure invariant: an int exactly when integral."""
+    return type(x) is (int if x.denominator == 1 else Fraction)
+
+
+def assert_int_iff_integral(e):
+    assert int_iff_integral(e.offset), e
+    if e.label is not None:
+        assert int_iff_integral(e.lo) and int_iff_integral(e.hi), e
+
+
+def test_offsets_are_ints_exactly_when_integral():
+    values = [0, 3, -2, Fraction(6, 3), Fraction(-4, 2), Fraction(1, 2),
+              Fraction(-7, 3), "5", "-4/2", "1/3"]
+    made = []
+    for x in values:
+        made += [Entry(x), Entry.rational(x), Entry.labeled("a", x, x, x),
+                 Entry.labeled("b", 0, Fraction(2, 2), x), Entry.sqrt(2, x)]
+    for e in made:
+        assert_int_iff_integral(e)
+        # The int step skips the constructor; every other step goes through it.
+        for q in (1, -2, 0, Fraction(1, 2), Fraction(2, 3), Fraction(4, 2), "1/3", "-1"):
+            assert_int_iff_integral(e.add(q))
+    assert type(Entry(Fraction(1, 2)).add(Fraction(1, 2)).offset) is int
+    text = "a+1/2 1 0\na-1 3/3\n4/2\na = 1 2.5\n"
+    for X in (parse_pattern(text), pattern_from_json(pattern_to_json(parse_pattern(text)))):
+        assert [str(e) for e in X.entries] == ["a+1/2", "1", "0", "a-1", "1", "2"]
+        for e in X.entries:
+            assert_int_iff_integral(e)
+        assert (X[(3, 1)].lo, X[(3, 1)].hi) == (1, Fraction(5, 2))
+
+
 def test_entry_equality_matches_the_tuple_reference():
     rng = random.Random(20261018)
     equal = 0
@@ -512,7 +547,8 @@ def test_entry_equality_matches_the_tuple_reference():
             # The same value and label in a distinct Fraction object.
             b = Entry(Fraction(a.offset.numerator * 3, a.offset.denominator * 3),
                       a.label, a.lo, a.hi)
-            assert b.offset is not a.offset
+            if a.offset.denominator > 1:  # small ints are shared objects
+                assert b.offset is not a.offset
         want = entry_key(a) == entry_key(b)
         assert (a == b) is want and (a != b) is (not want), (a, b)
         assert (hash(a) == hash(b)) >= want and hash(a) == hash(entry_key(a))

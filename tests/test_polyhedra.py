@@ -4,8 +4,10 @@ import ast
 import pickle
 import random
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from inspect import isgenerator
 from itertools import chain, permutations
 from math import ceil, floor
 from pathlib import Path
@@ -35,6 +37,8 @@ from relpoly.patterns import (
 )
 from relpoly.polyhedra import (
     IntegralPointSet,
+    _row_map,
+    _walk,
     assemble,
     count_integral,
     count_integral_weight,
@@ -49,6 +53,7 @@ from relpoly.relations import RelationSet, connected_components, standard_set, v
 from relpoly.selftest import random_c_pattern
 from relpoly.tiling import kernel, kernel_dim, min_face_dims, tiling_matrix
 from test_patterns import (
+    assert_int_iff_integral,
     entry_key,
     labeled_c_pattern,
     outcome_of,
@@ -774,6 +779,67 @@ def test_enumerate_integral_matches_reference():
             assert count_integral(C, L) == len(got)
             assert first_points(C, L, 2) == (len(got), tuple(got[:2]))
     assert min(kinds.values()) >= 30, kinds
+
+
+def moved_base(X, kind):
+    """X as it is ("int"), with every entry moved by a third ("frac"), or
+    with every entry made sqrt2 plus its value ("sqrt"): arc differences
+    are kept, so X's relation set is still satisfied."""
+    move = {"int": lambda e: e, "frac": lambda e: e.add(Fraction(1, 3)),
+            "sqrt": lambda e: Entry.sqrt(2, e.offset)}[kind]
+    return Pattern.from_rows([[move(e) for e in X.row(k)] for k in range(X.n, 0, -1)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_walk_matches_the_reference_at_each_n(n):
+    # The walk takes each row 2's children in its leaf loop: n = 1 has no
+    # row 2, at n = 2 the top row is row 2, and from n = 3 on the stack
+    # holds the rows above.  The cyclic set ties each column-1 entry to the
+    # one above it both ways.
+    rng = random.Random(4049 + n)
+    both = standard_set(n, 1, "both")
+    cyclic = RelationSet(n, list(both) + [((k, 1), (k + 1, 1)) for k in range(1, n)])
+    sizes = Counter()
+    for C in (both, cyclic):
+        for kind in ("int", "frac", "sqrt"):
+            for _ in range(3):
+                L = moved_base(random_c_pattern(rng, C, 2 if n == 5 else 3), kind)
+                walk = _walk(L, _row_map(C, L))
+                assert isgenerator(walk)
+                got = list(walk)
+                assert_same_outcome(got, list(reference_enumerate_integral(C, L).points),
+                                    (C, str(L)))
+                for P in got:
+                    for e in P.entries:
+                        assert_int_iff_integral(e)
+                sizes[len(got) > 1] += 1
+    assert sizes[True] >= (0 if n == 1 else 6), sizes
+
+
+def traced_peak(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_row_map_memory_stays_with_the_rows_in_use():
+    # The n = 7 staircase has 3**21 points.  The row map keeps no rows, so
+    # counting them, or listing the first three, holds about one level of
+    # rows at a time, not every edge of the row DAG.
+    lam = (12, 10, 8, 6, 4, 2, 0)
+    C, L = standard_set(7, 1, "both"), gt_base(lam)
+    assert count_integral(C, L) == weyl_dim(lam) == 3 ** 21
+    assert traced_peak(lambda: count_integral(C, L)) <= 2 * 10 ** 6
+    assert traced_peak(lambda: first_points(C, L, 3)) <= 2 * 10 ** 6
+    count, points = first_points(C, L, 3)
+    assert count == 3 ** 21 and len(points) == 3
+    # The least point has every row at its lowest: row k holds lam's last k.
+    assert points[0] == Pattern.from_rows([lam[7 - k:] for k in range(7, 0, -1)])
+    keys = [P.offsets_key() for P in points]
+    assert keys == sorted(set(keys)) and all(satisfies(C, P) for P in points)
 
 
 def open_entry_case(rng):
