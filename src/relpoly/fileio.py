@@ -14,6 +14,7 @@ a second sidecar line for a name must give the same enclosure.
 import json
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ParseError
 from .modaction import LinComb
@@ -135,18 +136,24 @@ def parse_pattern(text):
     return Pattern.from_rows(rows)
 
 
+@lru_cache(maxsize=16)
+def _rows_template(n):
+    """The rows of a pattern on n rows with a %s per entry, in the order of
+    Pattern.entries (top row first).  Cached: building it takes about as
+    long as filling it in."""
+    return "\n".join(" ".join(["%s"] * k) for k in range(n, 0, -1)) + "\n"
+
+
 def dump_pattern(X):
-    labels = {}
-    lines = []
-    for row in X.rows():
-        lines.append(" ".join(str(e) for e in row))
-        for e in row:
-            if e.label is not None:
-                labels[e.label] = (e.lo, e.hi)
+    # %s applies str to each item, and an unlabeled entry's str is its
+    # offset's, so only labeled entries go through Entry.__str__.
+    ents = X.entries
+    text = _rows_template(X.n) % tuple([e.offset if e.label is None else e for e in ents])
+    labels = {e.label: (e.lo, e.hi) for e in ents if e.label is not None}
     for name in sorted(labels):
         lo, hi = labels[name]
-        lines.append(f"{name} = {lo} {hi}")
-    return "\n".join(lines) + "\n"
+        text += f"{name} = {lo} {hi}\n"
+    return text
 
 
 def pattern_to_json(X):

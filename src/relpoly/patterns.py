@@ -307,8 +307,9 @@ def satisfies(C, L):
     the same reduced denominator, and their numerators differ by a
     nonnegative multiple of it.  Two int offsets need only p >= q."""
     _check_sizes(C, L)
+    ents, starts = L.entries, row_starts(L.n)
     for src, dst in C:
-        a, b = L[src], L[dst]
+        a, b = ents[starts[src[0]] + src[1]], ents[starts[dst[0]] + dst[1]]
         if a.label != b.label:
             return False
         p, q = a.offset, b.offset
@@ -368,13 +369,15 @@ def row_sum(X, k):
 def _weights(X, first, last):
     """(w_first, ..., w_last), w_k = R_k - R_{k-1}, from one offset sum per
     row; labels must cancel between the two rows of each weight."""
-    rows = [X.row(k) if k else [] for k in range(first - 1, last + 1)]
-    labels = [sorted(e.label for e in row if e.label) for row in rows]
-    for k, upper, lower in zip(range(first, last + 1), labels[1:], labels):
-        if upper != lower:
-            raise NonRationalWeight(f"labels do not cancel in weight {k}")
+    ents, starts = X.entries, row_starts(X.n)
+    rows = [ents[starts[k] + 1:starts[k] + k + 1] for k in range(first - 1, last + 1)]
+    if any(e.label for e in ents):
+        labels = [sorted(e.label for e in row if e.label) for row in rows]
+        for k, upper, lower in zip(range(first, last + 1), labels[1:], labels):
+            if upper != lower:
+                raise NonRationalWeight(f"labels do not cancel in weight {k}")
     sums = [_offset_sum(row) for row in rows]
-    return tuple(Fraction(a * d - c * b, b * d)
+    return tuple(Fraction(a - c) if b == d == 1 else Fraction(a * d - c * b, b * d)
                  for (c, d), (a, b) in zip(sums, sums[1:]))
 
 

@@ -325,12 +325,21 @@ def count_integral_weight(C, L, mu):
 def first_points(C, L, limit, mu=None):
     """(count, points): the number of points that enumerate_integral(C, L)
     lists, or with mu enumerate_integral_weight(C, L, mu), and the first
-    limit of them (all with limit None), in the same order.  The count and
-    the points share one row map, which keeps no rows, and no later point
-    is built, so a small limit takes memory for the rows of a level or two,
-    not for the points or the edges between rows."""
+    limit of them (all with limit None), in the same order.
+
+    The walk runs first.  When it runs out (limit None, or fewer points than
+    limit) the count is the number of points it built; only when limit cuts
+    it does a second pass count the paths through the same row map.  The
+    map keeps no rows, and no point after the limit is built, so a small
+    limit takes memory for the rows of a level or two, not for the points or
+    the edges between rows.  An open weight slice raises the same
+    UnboundedWeightSlice either way: whether a bound is open depends on the
+    level alone, and both passes reach the levels from the top down."""
     below = _row_map(C, L, mu)
-    return _count(L, below), tuple(islice(_walk(L, below), limit))
+    points = tuple(islice(_walk(L, below), limit))
+    if limit is None or len(points) < limit:
+        return len(points), points
+    return _count(L, below), points
 
 
 def face_dim_oracle(system, X):

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: outputs, determinism, and exit codes."""
 
+import hashlib
 import io
 import json
 import random
@@ -285,6 +286,46 @@ def test_enumerate_relaxes_the_arcs_once(capsys, tmp_path, monkeypatch, family, 
     code, out = run(capsys, "enumerate", "--relations", str(rel), "--pattern", str(pat), *extra)
     assert want in out and code == (1 if "error" in out else 0)
     assert len(calls) == 1
+
+
+def gt_rows_text(lam, entry=str):
+    """The highest-weight base of lam as pattern text, each value v written
+    as entry(v)."""
+    return "".join(" ".join(entry(x) for x in lam[:k]) + "\n" for k in range(len(lam), 0, -1))
+
+
+# sha256 of `relpoly enumerate` stdout, taken before unlabeled points were
+# printed through one row template per n: (lam, entry, --mu) -> digest per
+# --format.  Each value v of the fractional base is v - 7/3.
+ENUMERATE_DIGESTS = {
+    "C1 4,3,2,1,0": ((4, 3, 2, 1, 0), str, None, {
+        "json": "c46921d628ce6e0fbdc5a3873cba14e341c73f7bde838f9e7fc365a70dc47bb0",
+        "text": "78612c7f24d552b5ec0411cafa1a00f9c3a8f7405c1c7f4b440d1a15875209f9"}),
+    "slice 6,4,3,2,1,0": ((6, 4, 3, 2, 1, 0), str, "3,3,3,3,2,2", {
+        "json": "18a4e50a7b8045469472da53a408bb288bae0467fe97ca0b902e5d733cae6a31",
+        "text": "c4551c855ccefb63a6b18720f2e58eabfecd2b7ba794166688bedbf8a96b24ad"}),
+    "fractional": ((4, 3, 2, 1, 0), lambda v: f"{3 * v - 7}/3", None, {
+        "json": "6c023ed682795255e501eaabed3ee3c971cac4c52c48a86d5c0f35a336042764",
+        "text": "7acb055a92fe21905d73ee216283c53158098a718bf40dfa1613d67f7ea510fa"}),
+    "fractional slice": ((4, 3, 2, 1, 0), lambda v: f"{3 * v - 7}/3", "-1/3,-1/3,-1/3,-1/3,-1/3", {
+        "json": "b712936d783b57fe742ef8973a15d07e4d9fea0b8d9c4794d7c233ff81d6a3f4",
+        "text": "d011e9165046db29d0e556ccb2d3b51c6b586c0c45344f7dc98590aec0d00c80"}),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("case", sorted(ENUMERATE_DIGESTS))
+def test_enumerate_output_is_pinned(capsys, tmp_path, case, fmt):
+    lam, entry, mu, digests = ENUMERATE_DIGESTS[case]
+    rel, pat = tmp_path / "c1.rel", tmp_path / "base.pat"
+    rel.write_text(fileio.dump_relations(standard_set(len(lam), 1, "both")))
+    pat.write_text(gt_rows_text(lam, entry))
+    argv = ["enumerate", "--relations", str(rel), "--pattern", str(pat), "--format", fmt]
+    if mu is not None:
+        argv.append(f"--mu={mu}")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[fmt]
 
 
 def test_enumerate_n46_constant_pattern(capsys, tmp_path):

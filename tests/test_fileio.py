@@ -8,7 +8,7 @@ import pytest
 from relpoly import fileio
 from relpoly.errors import ParseError
 from relpoly.modaction import LinComb
-from relpoly.patterns import Entry, Pattern
+from relpoly.patterns import Entry, Pattern, constant_pattern
 from relpoly.relations import RelationSet, standard_set
 from test_relations import random_relation_set, ref_reach
 
@@ -134,6 +134,52 @@ def test_random_roundtrips():
         assert fileio.dump_relations(fileio.parse_relations(text)) == text
         assert fileio.relations_from_json(fileio.relations_to_json(C)) == C
     assert cyclic >= 20
+
+
+def dump_pattern_per_entry(X):
+    """dump_pattern as it was written before patterns went through one row
+    template: one str per entry, then the sorted sidecar lines."""
+    labels = {}
+    lines = []
+    for row in X.rows():
+        lines.append(" ".join(str(e) for e in row))
+        for e in row:
+            if e.label is not None:
+                labels[e.label] = (e.lo, e.hi)
+    for name in sorted(labels):
+        lo, hi = labels[name]
+        lines.append(f"{name} = {lo} {hi}")
+    return "\n".join(lines) + "\n"
+
+
+def drawn_entry(rng, kind):
+    if kind == "int":
+        return rng.randint(-12, 12)
+    if kind == "frac":
+        return Fraction(rng.randint(-12, 12), rng.choice((2, 3, 7)))
+    if kind == "sqrt":
+        return Entry.sqrt(2, Fraction(rng.randint(-5, 5), rng.choice((1, 2))))
+    return random_entry(rng)
+
+
+def test_dump_pattern_matches_the_per_entry_dump():
+    rng = random.Random(20261022)
+    mixed_rows = 0
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        kind = rng.choice(("int", "frac", "sqrt", "mixed"))
+        X = Pattern.from_rows([[drawn_entry(rng, kind) for _ in range(k)]
+                               for k in range(n, 0, -1)])
+        text = fileio.dump_pattern(X)
+        assert text == dump_pattern_per_entry(X), (kind, str(X))
+        assert fileio.parse_pattern(text) == X
+        mixed_rows += any(len({e.label is None for e in X.row(k)}) == 2
+                          for k in range(1, n + 1))
+    # Rows of labeled and unlabeled entries side by side.
+    assert mixed_rows >= 30
+    for n, value in ((1, 0), (1, -3), (2, Fraction(-5, 2)), (46, 0), (46, -7)):
+        X = constant_pattern(n, value)
+        assert fileio.dump_pattern(X) == dump_pattern_per_entry(X)
 
 
 def test_load_json_error():

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from relpoly import polyhedra
 from relpoly.errors import (
     IncomparableEntries,
     Infeasible,
@@ -942,6 +943,46 @@ def test_count_integral_errors():
     with pytest.raises(UnboundedWeightSlice):
         count_integral_weight(standard_set(4, 3, "both"), gt_base((2, 1, 0, 0)),
                               [1, 1, 1, 0])
+
+
+FIRST_POINTS_CASES = {
+    "int": (standard_set(4, 1, "both"), gt_base((3, 2, 1, 0)), None),
+    "frac": (standard_set(4, 1, "both"), moved_base(gt_base((3, 2, 1, 0)), "frac"), None),
+    "sqrt": (standard_set(3, 1, "both"), moved_base(gt_base((4, 2, 0)), "sqrt"), None),
+    "n1": (standard_set(1, 1, "both"), gt_base((5,)), None),
+    "slice": (standard_set(5, 1, "both"), gt_base((4, 3, 2, 1, 0)), (2, 2, 2, 2, 2)),
+    "C1+ slice": (standard_set(3, 1, "plus"), gt_base((2, 1, 0)), (0, 1, 2)),
+    "empty slice": (standard_set(2, 1, "both"), gt_base((1, 0)), (-1, 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_POINTS_CASES))
+def test_first_points_counts_from_the_walk_when_it_runs_out(monkeypatch, case):
+    C, L, mu = FIRST_POINTS_CASES[case]
+    if mu is None:
+        count, full = count_integral(C, L), enumerate_integral(C, L).points
+    else:
+        count, full = count_integral_weight(C, L, mu), enumerate_integral_weight(C, L, mu).points
+    assert count == len(full)
+    counted = []
+    count_paths = polyhedra._count
+    monkeypatch.setattr(polyhedra, "_count", lambda *a: counted.append(a) or count_paths(*a))
+    for limit in sorted({None, 0, 1, count - 1, count, count + 1} - {-1}, key=str):
+        counted.clear()
+        assert first_points(C, L, limit, mu) == (count, full[:limit]), limit
+        # Only a limit that cuts the walk (or stops it on its last point)
+        # leaves the count to a second pass.
+        assert len(counted) == (limit is not None and limit <= count), limit
+
+
+def test_first_points_open_weight_slice_raises_as_the_count_does():
+    C, L, mu = standard_set(4, 3, "both"), gt_base((2, 1, 0, 0)), [1, 1, 1, 0]
+    with pytest.raises(UnboundedWeightSlice) as want:
+        count_integral_weight(C, L, mu)
+    for limit in (None, 0, 1, 5):
+        with pytest.raises(UnboundedWeightSlice) as got:
+            first_points(C, L, limit, mu)
+        assert str(got.value) == str(want.value), limit
 
 
 def test_enumerate_integral_n46_constant_pattern():
