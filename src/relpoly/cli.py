@@ -10,12 +10,13 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import fileio
 from .errors import ParseError, RelpolyError
 from .modaction import RAISE, LOWER, CARTAN, act_in_basis, check_commutators
 from .patterns import weight_vector
-from .polyhedra import BoundednessReport, first_points, is_polytope
+from .polyhedra import BoundednessReport, _row_map, _walk, first_points, is_polytope
 from .relations import check_admissible, is_reduced, is_top_connected, standard_set
 from .selftest import run_selftest
 from .tiling import (
@@ -195,7 +196,9 @@ def cmd_act(args, C, L):
 
 
 def cmd_commutators(args, C, L):
-    report = check_commutators(C, L, first_points(C, L, args.limit)[1])
+    # The basis prefix that first_points would give, straight off the walk:
+    # no count is printed, so none is taken.
+    report = check_commutators(C, L, islice(_walk(L, _row_map(C, L)), args.limit))
     out = {
         "checked": report.checked,
         "failures": [[name, str(pattern), residual]

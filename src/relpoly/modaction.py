@@ -9,7 +9,7 @@ probing non-admissible sets.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 
 from .errors import (
     CriticalDenominator,
@@ -18,7 +18,6 @@ from .errors import (
     NotSatisfying,
     OutOfBasisLeak,
 )
-from .patterns import coord_index
 from .patterns import satisfies as _satisfies
 
 
@@ -75,46 +74,54 @@ def _scaled_rows(M, k, other):
     are then ints, D times their values, and each coefficient is one
     Fraction.  Row 0 is empty; a labeled entry in either row raises."""
     n, entries = M.n, M.entries
-    a, b = coord_index(n, (k, 1)), coord_index(n, (other, 1))
+    top = n * (n + 1)  # row r starts at (top - r * (r + 1)) // 2, as in coord_index
+    a, b = (top - k * (k + 1)) // 2, (top - other * (other + 1)) // 2
     qs = [e.offset for e in entries[a:a + k] + entries[b:b + other] if e.label is None]
     if len(qs) < k + other:
         raise LabeledEntryUnsupported(
             "generator action needs rational entries in the touched rows")
-    if all(q.__class__ is int for q in qs):  # integral offsets are ints
-        return 1, qs[:k], qs[k:]
     D = lcm(*[q.denominator for q in qs])
+    if D == 1:  # every offset integral, so an int
+        return 1, qs[:k], qs[k:]
     ints = [q.numerator * (D // q.denominator) for q in qs]
     return D, ints[:k], ints[k:]
-
-
-def _row_denominator(k, m, i, D):
-    """D**(k-1) times the product over j != i of m_i - m_j + j - i."""
-    den = 1
-    for j in range(1, k + 1):
-        if j == i:
-            continue
-        f = m[i - 1] - m[j - 1] + (j - i) * D
-        if f == 0:
-            raise CriticalDenominator(k, i, j)
-        den *= f
-    return den
 
 
 def _act_step(k, M, other):
     """The raising (other = k+1) or lowering (other = k-1) generator.  Entry
     (k,i) moves by delta = other - k, with coefficient -delta times the
     product over row other of m_i - o_j + j - i, over the product over
-    j != i of m_i - m_j + j - i."""
+    j != i of m_i - m_j + j - i.  On the scaled rows a factor
+    m_i - o_j + (j - i)D is (m_i - iD) - (o_j - jD), so each row is shifted
+    once, by -jD at place j.
+
+    The terms come out in offsets_key order with no sort.  The targets of i
+    and i' > i differ first at the flat index of (k, i), where the target of
+    i has moved by delta: a raise lists i = k..1, a lower i = 1..k.  The
+    denominators are still taken for i = 1..k, so the first critical (i, j)
+    raises."""
     D, m, o = _scaled_rows(M, k, other)
+    m = [x - j * D for j, x in enumerate(m, 1)]
+    o = [x - j * D for j, x in enumerate(o, 1)]
     delta = other - k
-    scale = D ** (delta + 1)  # other factors over k - 1: D**2 too large for a raise
+    # The sign -delta, and other factors over k - 1: D**2 too large for a raise.
+    scale = -delta * D ** (delta + 1)
     items = []
-    for i in range(1, k + 1):
-        num = prod(m[i - 1] - o[j - 1] + (j - i) * D for j in range(1, other + 1))
-        den = _row_denominator(k, m, i, D)
+    for i, a in enumerate(m, 1):
+        num = 1
+        for b in o:
+            num *= a - b
+        den = scale
+        for j, b in enumerate(m, 1):
+            if j != i:
+                if a == b:
+                    raise CriticalDenominator(k, i, j)
+                den *= a - b
         if num:
-            items.append((M.shifted(k, i, delta), Fraction(-delta * num, den * scale)))
-    return LinComb._sorted(items)  # one term per i, each nonzero
+            items.append((M.shifted(k, i, delta), Fraction(num, den)))
+    if delta > 0:
+        items.reverse()
+    return LinComb(tuple(items))  # one term per i, each nonzero
 
 
 def act_raise(k, M):
@@ -215,8 +222,9 @@ def check_commutators(C, L, sample):
     Vectors are pairs (den, {basis position: int numerator}) standing for
     the coefficients num/den, so the brackets run in int arithmetic.
     Tableaux get a position the first time they are met (None outside the
-    basis), and the column of a generator at a position is built the first
-    time a bracket needs it, so a sample without a finite basis is fine.
+    basis).  Each position keeps a table {generator: column}, and the column
+    of a generator there is built the first time a bracket needs it, so a
+    sample without a finite basis is fine.
     Every other sum of vectors goes through one helper, combine, once per
     bracket.  The cartan brackets are read off the diagonal: cartan_j
     multiplies each tableau by its weight, which its own column holds.  The
@@ -231,8 +239,8 @@ def check_commutators(C, L, sample):
     failures = []
     checked = 0
     patterns = []
+    columns = []  # per position, {gen: its column there}
     index = {}
-    columns = {}
     weight_vectors = {}
 
     def locate(P):
@@ -243,31 +251,30 @@ def check_commutators(C, L, sample):
             if _satisfies(C, P):
                 pos = len(patterns)
                 patterns.append(P)
+                columns.append({})
             index[P] = pos
             return pos
 
     def column(gen, j):
-        try:
-            return columns[gen, j]
-        except KeyError:
+        cols = columns[j]
+        col = cols.get(gen)
+        if col is None:
             kept = _in_basis_terms(gen, patterns[j], locate)[0]
-            den = lcm(*(c.denominator for c in kept.values()))
-            col = columns[gen, j] = (
+            den = lcm(*[c.denominator for c in kept.values()])
+            col = cols[gen] = (
                 den, {t: c.numerator * (den // c.denominator) for t, c in kept.items()})
-            return col
+        return col
 
     def combine(parts):
-        # The sum of c * vec over (int c, vec) parts, over the lcm of their
-        # denominators, with zero coefficients dropped.
-        common = lcm(*(d for _, (d, _) in parts))
+        # The sum of c * nums / den over (int c, den, nums) parts, over the
+        # lcm of their denominators, with zero coefficients dropped.
+        common = lcm(*[d for _, d, _ in parts])
         acc = {}
-        for c, (d, nums) in parts:
+        get = acc.get
+        for c, d, nums in parts:
             c *= common // d
             for t, a in nums.items():
-                if t in acc:
-                    acc[t] += a * c
-                else:
-                    acc[t] = a * c
+                acc[t] = get(t, 0) + a * c
         return common, {t: a for t, a in acc.items() if a}
 
     def bracket(g1, g2, pos):
@@ -276,13 +283,15 @@ def check_commutators(C, L, sample):
         # Columns are built in the order a composition of act_in_basis calls
         # acts on the terms, so the first error raised is the one it would
         # raise: g2 at pos, g1 at each of its terms, then g1 at pos, g2 at
-        # each of its terms.
+        # each of its terms.  A column already built is read straight off
+        # its position's table.
         parts = []
+        here = columns[pos]
         for a, b, sign in ((g1, g2, 1), (g2, g1, -1)):
-            den, col = column(b, pos)
+            den, col = here.get(b) or column(b, pos)
             for t, c in col.items():
-                d, nums = column(a, t)
-                parts.append((sign * c, (den * d, nums)))
+                d, nums = columns[t].get(a) or column(a, t)
+                parts.append((sign * c, den * d, nums))
         return parts
 
     def weight_at(j, t):
@@ -312,8 +321,8 @@ def check_commutators(C, L, sample):
 
     def moved(w, k, sign):
         # The weight vector w + sign * (e_k - e_{k+1}), in the form of weights().
-        return tuple((d, num + sign * d * ((j == k) - (j == k + 1)))
-                     for j, (d, num) in enumerate(w, 1))
+        (d, a), (e, b) = w[k - 1:k + 1]
+        return w[:k - 1] + ((d, a + sign * d), (e, b - sign * e)) + w[k + 1:]
 
     def cartan_bracket(j, gen, pos, want):
         # [cartan_j, gen] e_pos - want * gen e_pos.  cartan_j is diagonal, so
@@ -340,7 +349,7 @@ def check_commutators(C, L, sample):
         checked += 1
         for k in range(1, n):
             res = combine(bracket((RAISE, k), (LOWER, k), pos)  # before the cartan columns
-                          + [(-1, column((CARTAN, k), pos)), (1, column((CARTAN, k + 1), pos))])
+                          + [(-1, *column((CARTAN, k), pos)), (1, *column((CARTAN, k + 1), pos))])
             if res[1]:
                 failures.append((f"[raise{k},lower{k}]", M, residual(res)))
         # Every cartan bracket with raise_k at pos holds iff each term of the
@@ -371,7 +380,7 @@ def check_commutators(C, L, sample):
                             res = combine(bracket((kind, k), (kind, l), pos))
                             # [kind_l, kind_k] e = -[kind_k, kind_l] e, reported
                             # when the loop reaches (l, k).
-                            mirrors[kind, l, k] = combine([(-1, res)]) if res[1] else res
+                            mirrors[kind, l, k] = combine([(-1, *res)]) if res[1] else res
                         else:
                             res = mirrors.pop((kind, k, l))
                         if res[1]:

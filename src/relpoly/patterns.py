@@ -44,6 +44,7 @@ class Entry:
     label: str = None
     lo: Fraction = field(default=None, compare=False)  # int when integral
     hi: Fraction = field(default=None, compare=False)  # int when integral
+    _hash = None  # not a field: the cached hash, set on first use
 
     def __post_init__(self):
         object.__setattr__(self, "offset", _frac(self.offset))
@@ -73,13 +74,13 @@ class Entry:
     def __hash__(self):
         # The dataclass hash of (offset, label), computed on first use and
         # kept: Fraction hashes are costly, and a tableau step rehashes every
-        # entry of the new tableau but changes only one of them.
-        try:
-            return self._hash
-        except AttributeError:
+        # entry of the new tableau but changes only one of them.  A fresh
+        # Entry reads the class's None, so nothing is raised.
+        h = self._hash
+        if h is None:
             h = hash((self.offset, self.label))
             object.__setattr__(self, "_hash", h)
-            return h
+        return h
 
     def __getstate__(self):
         # Leave the cached hash behind: str hashes, and so those of labeled
@@ -190,6 +191,7 @@ def row_starts(n):
 class Pattern:
     n: int
     entries: tuple  # Entry per vertex, serialization order (row n first)
+    _hash = None  # not a field: the cached hash, set on first use
 
     def __post_init__(self):
         if len(self.entries) != self.n * (self.n + 1) // 2:
@@ -215,13 +217,12 @@ class Pattern:
     def __hash__(self):
         # Computed on first use, not in __post_init__: most enumerated points
         # are never hashed, and hashing every entry of every point would slow
-        # enumeration down.
-        try:
-            return self._hash
-        except AttributeError:
+        # enumeration down.  Read like Entry's, through the class's None.
+        h = self._hash
+        if h is None:
             h = hash((self.n, self.entries))
             object.__setattr__(self, "_hash", h)
-            return h
+        return h
 
     def __getstate__(self):
         # Leave the cached hash behind: str hashes, and so those of labeled
@@ -256,10 +257,10 @@ class Pattern:
     def shifted(self, k, i, delta):
         """Add an integer to entry (k,i).  The other entries are taken as they
         are, with their cached hashes."""
-        idx = coord_index(self.n, (k, i))
-        ents = self.entries
+        n, ents = self.n, self.entries
+        idx = (n * (n + 1) - k * (k + 1)) // 2 + i - 1  # coord_index(n, (k, i))
         return Pattern._from_entries(
-            self.n, ents[:idx] + (ents[idx].add(delta),) + ents[idx + 1:])
+            n, ents[:idx] + (ents[idx].add(delta),) + ents[idx + 1:])
 
     def offsets_key(self):
         return tuple(e.offset for e in self.entries)

@@ -192,6 +192,23 @@ def test_commutators_limit_matches_the_sliced_basis(capsys, tmp_path, case):
     assert outcomes == ({0} if case == "ok" else {1} if count is None else {0, 1})
 
 
+def test_commutators_limit_takes_no_count(capsys, tmp_path, monkeypatch):
+    # The count first_points would add is never printed, so the basis prefix
+    # comes off the walk alone, with no _count pass over the row map.
+    calls = []
+    count = polyhedra._count
+    monkeypatch.setattr(polyhedra, "_count", lambda *a: calls.append(a) or count(*a))
+    C, L = standard_set(3, 1, "both"), Pattern.from_rows([[2, 1, 0], [2, 1], [2]])
+    rel, pat = tmp_path / "c.rel", tmp_path / "l.pat"
+    rel.write_text(fileio.dump_relations(C))
+    pat.write_text(fileio.dump_pattern(L))
+    got = run(capsys, "commutators", "--relations", str(rel), "--pattern", str(pat),
+              "--limit", "1")
+    assert got == commutators_unstreamed(C, L, 1)
+    assert json.loads(got[1])["checked"] == 1
+    assert calls == []
+
+
 @pytest.mark.parametrize("argv, low", [
     (["enumerate", "--limit", "-1"], 0),
     (["commutators", "--limit", "-3"], 0),

@@ -489,6 +489,59 @@ def test_action_formulas_match_the_reference():
     assert len(kinds) == 6 and min(kinds.values()) >= 30, kinds
 
 
+def test_each_column_is_built_once(monkeypatch):
+    # One column per (generator, position): the 3n - 2 generators at each of
+    # the 64 basis tableaux of lambda = (3,2,1,0), and no column built twice.
+    calls = []
+    act_one = modaction._act_one
+    monkeypatch.setattr(modaction, "_act_one",
+                        lambda gen, M: calls.append((gen, M)) or act_one(gen, M))
+    C = standard_set(4, 1, "both")
+    L = rows((3, 2, 1, 0), (3, 2, 1), (3, 2), (3,))
+    basis = enumerate_integral(C, L).points
+    report = check_commutators(C, L, basis)
+    assert report.ok and report.checked == len(basis) == 64
+    assert len(calls) == len(set(calls)) == (3 * 4 - 2) * 64 == 640
+
+
+def test_raise_and_lower_terms_come_out_sorted():
+    # _act_step lists its terms in offsets_key order by construction (raise
+    # i = k..1, lower i = 1..k), with no sort; a critical denominator still
+    # raises at the first critical i, with the reference's (k, i, j).  Rows
+    # get fractional parts of denominator 2, 3 or 6, or sqrt2-labeled
+    # entries outside the two touched rows.
+    rng = random.Random(20261025)
+    parts = (0, Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 6), Fraction(5, 6))
+    seen = {}
+    for n in range(2, 7):
+        for _ in range(150):
+            k, kind = rng.randint(1, n - 1), rng.choice((RAISE, LOWER))
+            touched = (k, k + 1 if kind == RAISE else k - 1)
+            mode = rng.choice(("integral", "fractional", "labeled"))
+            rows = []
+            for r in range(n, 0, -1):
+                q = rng.choice(parts) if mode == "fractional" else 0
+                row = [Entry.rational(rng.randint(0, 3) + q) for _ in range(r)]
+                if mode == "labeled" and r not in touched:
+                    row[rng.randrange(r)] = Entry.sqrt(2, rng.randint(0, 3))
+                rows.append(row)
+            M = Pattern.from_rows(rows)
+            act = act_raise if kind == RAISE else act_lower
+            try:
+                want = reference_act(kind, k, M)
+            except CriticalDenominator as exc:
+                with pytest.raises(CriticalDenominator) as got:
+                    act(k, M)
+                assert (got.value.k, got.value.i, got.value.j) == (exc.k, exc.i, exc.j)
+                outcome = "critical"
+            else:
+                terms = act(k, M).terms
+                assert terms == LinComb._sorted(terms).terms == want.terms, (kind, k, str(M))
+                outcome = "several" if len(terms) > 1 else "one or none"
+            seen[mode, outcome] = seen.get((mode, outcome), 0) + 1
+    assert len(seen) == 9 and min(seen.values()) >= 20, seen
+
+
 def test_cartan_column_off_its_diagonal_fails_loudly(monkeypatch):
     true_cartan = modaction.act_cartan
     monkeypatch.setattr(modaction, "act_cartan",
