@@ -14,6 +14,7 @@ overlap.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, lcm
 
 from .errors import (
@@ -182,9 +183,12 @@ def coord_index(n, v):
     return (n * (n + 1) - k * (k + 1)) // 2 + (i - 1)
 
 
+@lru_cache(maxsize=64)
 def row_starts(n):
-    """Row offsets for k = 0..n: starts[k] + i is coord_index(n, (k, i))."""
-    return [coord_index(n, (k, 0)) for k in range(n + 1)]
+    """Row offsets for k = 0..n: starts[k] + i is coord_index(n, (k, i)).
+    A tuple, cached per n: the pointwise predicates and the oracle ask for
+    it on every call."""
+    return tuple(coord_index(n, (k, 0)) for k in range(n + 1))
 
 
 @dataclass(frozen=True)
@@ -289,7 +293,14 @@ def tight_arcs(C, X):
     tight = []
     for src, dst in C:
         a, b = ents[starts[src[0]] + src[1]], ents[starts[dst[0]] + dst[1]]
-        if a == b:
+        if a.label is None and b.label is None:
+            # Offsets are exact, an int iff integral: compare them directly.
+            p, q = a.offset, b.offset
+            if p == q:
+                tight.append((src, dst))
+            elif p < q:
+                return None
+        elif a == b:
             tight.append((src, dst))
         elif cmp_entries(a, b) < 0:
             return None
@@ -371,7 +382,13 @@ def _weights(X, first, last):
     """(w_first, ..., w_last), w_k = R_k - R_{k-1}, from one offset sum per
     row; labels must cancel between the two rows of each weight."""
     ents, starts = X.entries, row_starts(X.n)
-    rows = [ents[starts[k] + 1:starts[k] + k + 1] for k in range(first - 1, last + 1)]
+    spans = [(starts[k] + 1, starts[k] + k + 1) for k in range(first - 1, last + 1)]
+    offsets = [e.offset for e in ents if e.label is None and e.offset.__class__ is int]
+    if len(offsets) == len(ents):
+        # Unlabeled int offsets: plain int row sums, one Fraction per weight.
+        sums = [sum(offsets[a:b]) for a, b in spans]
+        return tuple(Fraction(a - c) for c, a in zip(sums, sums[1:]))
+    rows = [ents[a:b] for a, b in spans]
     if any(e.label for e in ents):
         labels = [sorted(e.label for e in row if e.label) for row in rows]
         for k, upper, lower in zip(range(first, last + 1), labels[1:], labels):

@@ -4,8 +4,13 @@ active-constraint face-dimension oracle.
 The oracle computes the dimension of the minimal face containing a point as
 the nullity of the matrix stacking all equality rows and the inequality rows
 tight at the point, by exact fraction-free elimination of its 0/+-1 integer
-rows, built sparse as {column: +-1}.  It is the independent check for the
-tile-counting formulas.
+rows, built sparse as {column: +-1}.  It pins the weights by the row sums
+R_k = w_1 + ... + w_k, k entries of +1 each, which span the same rows as the
+pins w_k = R_k - R_{k-1}.  An inequality whose two entries are unlabeled is
+tested on their exact offsets with == and <; labeled pairs go through Entry
+equality and cmp_entries.  It is the independent check for the
+tile-counting formulas, and shares none of their code: its tight-arc loop is
+its own, not patterns.tight_arcs.
 """
 
 from dataclasses import dataclass
@@ -66,7 +71,7 @@ def assemble(C, lam=None, mu=None, plus=False):
             raise ValueError(f"lam must have length {C.n}")
     eq_weights = None
     if mu is not None:
-        eq_weights = tuple(Fraction(x) for x in mu)
+        eq_weights = tuple(x if x.__class__ is Fraction else Fraction(x) for x in mu)
         if len(eq_weights) != C.n:
             raise ValueError(f"mu must have length {C.n}")
     nonneg = tuple(sorted(support(C))) if plus else ()
@@ -363,16 +368,24 @@ def face_dim_oracle(system, X):
     if system.eq_weights is not None:
         if weight_vector(X) != system.eq_weights:
             raise Infeasible("weight pins violated")
+        # R_k = w_1 + ... + w_k: a unitriangular change of basis of the pins
+        # w_k, so the rank is the same, from shorter rows.
         for k in range(1, n + 1):
-            row = {starts[k] + i: 1 for i in range(1, k + 1)}
-            row.update((starts[k - 1] + i, -1) for i in range(1, k))
-            rows.append(row)
+            rows.append(dict.fromkeys(range(starts[k] + 1, starts[k] + k + 1), 1))
     zero = Entry.rational(0)
     for src, dst in system.inequalities:
         a, b = starts[src[0]] + src[1], starts[dst[0]] + dst[1]
-        if ents[a] == ents[b]:
+        ea, eb = ents[a], ents[b]
+        if ea.label is None and eb.label is None:
+            # Offsets are exact, an int iff integral: compare them directly.
+            p, q = ea.offset, eb.offset
+            if p == q:
+                rows.append({a: 1, b: -1})
+            elif p < q:
+                raise Infeasible(f"inequality {src} >= {dst} violated")
+        elif ea == eb:
             rows.append({a: 1, b: -1})
-        elif cmp_entries(ents[a], ents[b]) < 0:
+        elif cmp_entries(ea, eb) < 0:
             raise Infeasible(f"inequality {src} >= {dst} violated")
     for v in system.nonneg:
         a = starts[v[0]] + v[1]

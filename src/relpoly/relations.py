@@ -127,8 +127,15 @@ def reaches(C, a, b):
 
 def _union_find_blocks(n, edges):
     """Undirected components of the triangle of height n under the given
-    edges, as frozensets sorted by their least member."""
-    parent = {v: v for v in vertices(n)}
+    edges, as frozensets sorted by their least member.
+
+    Union by least root, so that every root is the least vertex of its
+    block.  One sweep over the sorted vertices then meets each block first
+    at its root, and finds the root of any other vertex v one step from its
+    parent: that parent is less than v, so the sweep has already set its
+    own parent to the root."""
+    verts = vertices(n)
+    parent = {v: v for v in verts}
 
     def root(v):
         while parent[v] != v:
@@ -138,12 +145,18 @@ def _union_find_blocks(n, edges):
 
     for a, b in edges:
         ra, rb = root(a), root(b)
-        if ra != rb:
+        if ra < rb:
+            parent[rb] = ra
+        elif rb < ra:
             parent[ra] = rb
     blocks = {}
-    for v in vertices(n):
-        blocks.setdefault(root(v), set()).add(v)
-    return tuple(sorted((frozenset(b) for b in blocks.values()), key=min))
+    for v in verts:
+        r = parent[v] = parent[parent[v]]
+        if r == v:
+            blocks[v] = [v]
+        else:
+            blocks[r].append(v)
+    return tuple(map(frozenset, blocks.values()))
 
 
 def connected_components(C):

@@ -50,10 +50,12 @@ def _require_c_pattern(C, X):
 
 
 def _tiling(n, tight):
-    """The tiling whose tiles the tight relations join; canonical tile order."""
-    tiles = _union_find_blocks(n, tight)
-    free = [t for t in tiles if all(v[0] != n for v in t)]
-    rest = [t for t in tiles if t not in free]
+    """The tiling whose tiles the tight relations join; canonical tile order.
+    Vertices sort by row, so a tile meets the top row iff its largest vertex
+    lies there."""
+    free, rest = [], []
+    for t in _union_find_blocks(n, tight):
+        (rest if max(t)[0] == n else free).append(t)
     return Tiling(n, tuple(free + rest), len(free))
 
 

@@ -14,7 +14,7 @@ from relpoly.errors import (
 )
 from relpoly.linalg import nullspace, rref
 from relpoly.patterns import Pattern, constant_pattern, is_c_pattern, weight_vector
-from relpoly.relations import standard_set, vertices
+from relpoly.relations import connected_components, standard_set, vertices
 from relpoly.selftest import random_c_pattern
 from test_patterns import (
     entry_key,
@@ -295,6 +295,8 @@ def test_tiling_matches_the_two_pass_reference():
     outcomes = Counter()
     for _ in range(1500):
         C = random_relation_set(rng)
+        blocks = connected_components(C)
+        assert list(blocks) == sorted(blocks, key=min), C
         pick = rng.random()
         if pick < 0.5:
             X = labeled_c_pattern(rng, C, rng.choice((2, 3, 4)))
@@ -311,6 +313,10 @@ def test_tiling_matches_the_two_pass_reference():
             continue
         s = got.free_count
         assert (set(got.tiles[:s]), set(got.tiles[s:])) == reference_tiling(C, X), (C, X)
+        # The order fixes the tiling-matrix columns and so the kernel: the
+        # lambda1-free tiles first, each group by least member.
+        for group in (got.tiles[:s], got.tiles[s:]):
+            assert list(group) == sorted(group, key=min), (C, X)
         assert len(got.tiles) == len(set(got.tiles))
         assert tiling_matrix(C, X, got).entries == reference_tiling_matrix(got)
         outcomes["tiling", s > 0] += 1
