@@ -9,11 +9,11 @@ stderr).
 import argparse
 import json
 import sys
-from fractions import Fraction
 from itertools import islice
 
 from . import fileio
 from .errors import ParseError, RelpolyError
+from .linalg import _ZERO
 from .modaction import RAISE, LOWER, CARTAN, act_in_basis, check_commutators
 from .patterns import weight_vector
 from .polyhedra import BoundednessReport, _row_map, _walk, first_points, is_polytope
@@ -55,9 +55,9 @@ def _load(kind, path):
     return getattr(fileio, f"parse_{kind}")(text)
 
 
-def _csv_rationals(text):
+def _csv_rationals(text, where):
     try:
-        return [Fraction(tok) for tok in text.split(",")]
+        return [fileio.parse_rational(tok, where) for tok in text.split(",")]
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad rational list {text!r}") from None
 
@@ -135,7 +135,9 @@ def cmd_tile(args, C, X):
     out = {
         "tiles": tiles,
         "matrix": [list(row) for row in A.entries],
-        "kernel": [[str(x) for x in vec] for vec in ker],
+        # nullspace's zero coordinates are all linalg._ZERO: spell them
+        # without a Fraction.__str__ call each.
+        "kernel": [["0" if x is _ZERO else str(x) for x in vec] for vec in ker],
     }
     _emit(out, args.format)
     return 0
@@ -152,7 +154,7 @@ def cmd_enumerate(args, C, L):
         # first_points raises Unbounded unless the polyhedron is bounded.
         report, mu = BoundednessReport(True), None
     else:
-        report, mu = is_polytope(C), _csv_rationals(args.mu)
+        report, mu = is_polytope(C), _csv_rationals(args.mu, "--mu")
     count, points = first_points(C, L, args.limit, mu)
     out = {
         "count": count,

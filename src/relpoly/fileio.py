@@ -9,6 +9,9 @@ Pattern text format: n lines, top row first, whitespace-separated entries.
 Rationals are ``p/q``; labeled entries ``name`` or ``name+p/q`` with a
 sidecar line ``name = <lo> <hi>`` giving a decimal enclosure of the base;
 a second sidecar line for a name must give the same enclosure.
+
+Every rational these formats read goes through `parse_rational`, which
+rejects a decimal exponent beyond MAX_EXPONENT in magnitude.
 """
 
 import json
@@ -22,6 +25,35 @@ from .patterns import Entry, Pattern
 from .relations import RelationSet
 
 _LABEL_RE = re.compile(r"^([A-Za-z_]\w*)([+-].+)?$")
+_RELATION_RE = re.compile(r"^(\d+)\s+(\d+)\s*->\s*(\d+)\s+(\d+)$")
+_EXPONENT_RE = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
+
+# The largest decimal exponent, in magnitude, of a rational token.  Fraction
+# computes 10**e, so the ten bytes "1e10000000" alone would take seconds, and
+# a longer exponent minutes and gigabytes.
+MAX_EXPONENT = 1000
+
+
+def parse_rational(tok, where):
+    """The rational tok spells: an int when it is integral, else a Fraction.
+
+    A sign and ASCII digits go through int, anything else through Fraction,
+    whose ValueError or ZeroDivisionError the caller words for its format.
+    An exponent beyond MAX_EXPONENT is a ParseError that names `where`.
+    """
+    digits = tok[1:] if tok[:1] in ("+", "-") else tok
+    if digits.isdigit() and digits.isascii():
+        return int(tok)
+    m = _EXPONENT_RE.search(tok)
+    if m is not None:
+        try:
+            exponent = int(m.group(1))
+        except ValueError:  # Fraction rejects it as well
+            exponent = 0
+        if abs(exponent) > MAX_EXPONENT:
+            raise ParseError(f"{where}: exponent of {tok!r} exceeds {MAX_EXPONENT} in magnitude")
+    x = Fraction(tok)
+    return x.numerator if x.denominator == 1 else x
 
 
 def parse_relations(text):
@@ -42,7 +74,7 @@ def parse_relations(text):
             if n < 1:
                 raise ParseError(f"line {lineno}: n must be a positive integer, got {n}")
             continue
-        m = re.match(r"^(\d+)\s+(\d+)\s*->\s*(\d+)\s+(\d+)$", line)
+        m = _RELATION_RE.match(line)
         if not m:
             raise ParseError(f"line {lineno}: expected 'i j -> r s'")
         i, j, r, s = (int(x) for x in m.groups())
@@ -83,16 +115,16 @@ def _parse_entry(tok, labels, where):
         raise ParseError(f"{where}: unknown label {m.group(1)!r} (missing sidecar line?)")
     try:
         if m is None:
-            return Entry.rational(Fraction(tok))
+            return Entry._unlabeled(parse_rational(tok, where))
         name, offset = m.groups()
-        return Entry.labeled(name, *labels[name], Fraction(offset or 0))
+        return Entry.labeled(name, *labels[name], parse_rational(offset, where) if offset else 0)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"{where}: bad entry token {tok!r}") from None
 
 
 def _parse_decimal(tok, where):
     try:
-        return Fraction(tok)
+        return parse_rational(tok, where)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"{where}: bad number {tok!r}") from None
 
@@ -128,12 +160,15 @@ def parse_pattern(text):
     n = len(row_lines[0][1])
     if len(row_lines) != n:
         raise ParseError(f"expected {n} rows (top row has {n} entries)")
-    rows = []
+    # The entries are made once, here: one enclosure per label, and rows of
+    # the right lengths, so the Pattern takes them as they are.
+    entries = []
     for expected, (lineno, toks) in zip(range(n, 0, -1), row_lines):
         if len(toks) != expected:
             raise ParseError(f"line {lineno}: expected {expected} entries")
-        rows.append([_parse_entry(t, labels, f"line {lineno}") for t in toks])
-    return Pattern.from_rows(rows)
+        where = f"line {lineno}"
+        entries += [_parse_entry(t, labels, where) for t in toks]
+    return Pattern._from_entries(n, tuple(entries))
 
 
 @lru_cache(maxsize=16)
@@ -183,7 +218,7 @@ def pattern_from_json(obj):
     entries = [_parse_entry(t, labels, f"entries[{i}]") for i, t in enumerate(toks)]
     if len(entries) != n * (n + 1) // 2:
         raise ParseError("wrong number of entries for n")
-    return Pattern(n, tuple(entries))
+    return Pattern._from_entries(n, tuple(entries))
 
 
 def lincomb_to_json(v):
@@ -194,11 +229,18 @@ def lincomb_to_json(v):
     }
 
 
+def _coefficient(c, i):
+    """A JSON coefficient: a string token, or a number as Fraction takes it."""
+    if type(c) is str:
+        return parse_rational(c, f"bad combination JSON: terms[{i}].coeff")
+    return Fraction(c)
+
+
 def lincomb_from_json(obj):
     try:
         items = [
-            (pattern_from_json(t["pattern"]), Fraction(t["coeff"]))
-            for t in obj["terms"]
+            (pattern_from_json(t["pattern"]), _coefficient(t["coeff"], i))
+            for i, t in enumerate(obj["terms"])
         ]
     except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ParseError(f"bad combination JSON: {exc}") from exc

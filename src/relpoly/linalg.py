@@ -10,11 +10,14 @@ E. H. Bareiss, Math. Comp. 22, 1968), and rows stay short when the input is
 sparse.  When the two leading entries agree up to sign, the common case on
 0/+-1 rows, the step is a plain subtraction of rows, with no gcd.  The rank
 is the pivot count of this forward pass.  Back-substitution, for `rref` and
-`nullspace` only, runs on the same integer rows.
+`nullspace` only, runs on the same integer rows (`_reduced`).
 
-``Fraction``s appear only in the results: the reduced rows of ``rref`` and
-the vectors of ``nullspace``.  The reduced row echelon form of a row space is
-unique, so the results do not depend on the order of elimination.
+``Fraction``s appear only in the results.  ``rref`` divides each reduced row
+by its pivot entry.  ``nullspace`` reads each vector off the integer reduced
+rows that meet its free column: O(rank) ``Fraction``s per vector, on a base
+whose zeros are all one shared ``Fraction(0)``.  The reduced row echelon
+form of a row space is unique, so the results do not depend on the order of
+elimination.
 """
 
 from fractions import Fraction
@@ -95,21 +98,29 @@ def _echelon(rows):
     return basis
 
 
+def _reduced(rows, ncols):
+    """The reduced row echelon form as {pivot column: int row}: each row an
+    integer multiple of the reduced row, and zero in every pivot column but
+    its own.  Every row must have exactly `ncols` entries."""
+    basis = _echelon(_integer_row(row, ncols) for row in rows)
+    # Back-substitution, from the last pivot up.  A reduced row is zero in
+    # every pivot column but its own, so clearing one column fills no other.
+    reduced = {}
+    for p in sorted(basis, reverse=True):
+        row = basis[p]
+        for q in [c for c in row if c != p and c in reduced]:
+            _eliminate(row, q, reduced[q])
+        reduced[p] = row
+    return reduced
+
+
 def rref(rows, ncols):
     """Reduced row echelon form.  Returns (reduced rows, pivot column list).
 
     Every row must have exactly `ncols` entries.
     """
-    basis = _echelon(_integer_row(row, ncols) for row in rows)
-    pivots = sorted(basis)
-    # Back-substitution, from the last pivot up.  A reduced row is zero in
-    # every pivot column but its own, so clearing one column fills no other.
-    reduced = {}
-    for p in reversed(pivots):
-        row = basis[p]
-        for q in [c for c in row if c != p and c in reduced]:
-            _eliminate(row, q, reduced[q])
-        reduced[p] = row
+    reduced = _reduced(rows, ncols)
+    pivots = sorted(reduced)
     out = []
     for p in pivots:
         row = reduced[p]
@@ -129,20 +140,34 @@ def sparse_rank(rows):
 def nullspace(rows, ncols):
     """Deterministic nullspace basis, one vector per free column (ascending).
 
-    Each vector is normalized so its first nonzero coordinate is +1.
+    Each vector is normalized so its first nonzero coordinate is +1.  Its
+    zero coordinates are all the one object `_ZERO`.
     """
-    reduced, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    reduced = _reduced(rows, ncols)
+    # The pivots whose reduced rows meet each free column, ascending.  A
+    # reduced row is zero left of its pivot, so the least of them holds the
+    # vector's first nonzero coordinate.
+    meets = {}
+    for p in sorted(reduced):
+        for c in reduced[p]:
+            if c != p:
+                meets.setdefault(c, []).append(p)
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in reduced:
+            continue
+        # Unnormalised, coordinate f is 1 and coordinate p is
+        # -row_p[f] / row_p[p]; each is divided by the first, -b / a.
         vec = [_ZERO] * ncols
-        vec[f] = _ONE
-        for row, p in zip(reduced, pivots):
-            if row[f]:
-                vec[p] = -row[f]
-        lead = next(x for x in vec if x)
-        if lead != 1:
-            vec = [x / lead if x else x for x in vec]
+        ps = meets.get(f)
+        if ps is None:
+            vec[f] = _ONE
+        else:
+            first = reduced[ps[0]]
+            a, b = first[ps[0]], first[f]
+            vec[f] = Fraction(-a, b)
+            for p in ps:
+                row = reduced[p]
+                vec[p] = Fraction(row[f] * a, row[p] * b)
         basis.append(tuple(vec))
     return basis

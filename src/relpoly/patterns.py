@@ -95,6 +95,14 @@ class Entry:
         return cls(_frac(x))
 
     @classmethod
+    def _unlabeled(cls, offset):
+        """An unlabeled Entry on an offset that is already exact (int iff
+        integral), without the constructor's coercion."""
+        e = object.__new__(cls)
+        e.__dict__.update(offset=offset, label=None, lo=None, hi=None)
+        return e
+
+    @classmethod
     def labeled(cls, name, lo, hi, offset=0):
         return cls(_frac(offset), name, _frac(lo), _frac(hi))
 

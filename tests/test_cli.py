@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -122,6 +123,14 @@ def test_enumerate(capsys, tmp_path):
                     "--pattern", str(pat), "--mu", "1,x")
     assert (code, out) == (2, '{"error": {"code": "parse_error", '
                               '"message": "bad rational list \'1,x\'"}}\n')
+
+    # Fraction would compute 10**100000000 for this exponent.
+    start = time.perf_counter()
+    code, out = run(capsys, "enumerate", "--relations", str(rel),
+                    "--pattern", str(pat), "--mu=1e100000000,0,0")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, '{"error": {"code": "parse_error", "message": "--mu: exponent of '
+                              '\'1e100000000\' exceeds 1000 in magnitude"}}\n')
 
 
 @pytest.mark.parametrize("mu", [None, "2,2,2"])
@@ -510,6 +519,19 @@ MALFORMED = {
                                   "coordinates must be integers"),
     "relations-str-coordinate": ("relations", '{"n": 3, "relations": [[2, 1, 1, 1], [2, "1", 1, 1]]}',
                                  "coordinates must be integers"),
+    "pattern-exponent": ("pattern", "2 1 1e100000000\n1 0\n0\n",
+                         "line 1: exponent of '1e100000000' exceeds 1000 in magnitude"),
+    "pattern-offset-exponent": ("pattern", "a 1 0\na-1E-100000000 0\n0\na = 1 2\n",
+                                "line 2: exponent of '-1E-100000000' exceeds"),
+    "pattern-sidecar-exponent": ("pattern", "a 1 0\n1 0\n0\na = 1 2e100000000\n",
+                                 "line 4: exponent of '2e100000000' exceeds"),
+    "pattern-json-exponent": ("pattern", '{"n": 3, "entries": ["2", "1", "0", "1", "0", "1e-100000000"]}',
+                              "entries[5]: exponent of '1e-100000000' exceeds"),
+    "pattern-json-label-exponent": (
+        "pattern", '{"n": 1, "entries": ["a"], "labels": {"a": ["1e100000000", "2e100000000"]}}',
+        "label 'a': exponent of '1e100000000' exceeds"),
+    "input-coeff-exponent": ("input", json.dumps({"terms": [dict(VECTOR["terms"][0], coeff="1e100000000")]}),
+                             "bad combination JSON: terms[0].coeff: exponent of '1e100000000' exceeds"),
     "input-coeff-1/0": ("input", json.dumps({"terms": [dict(VECTOR["terms"][0], coeff="1/0")]}),
                         "bad combination JSON"),
     **{f"generator-{spec}": ("generator", spec, f"generator indices in {spec!r} out of range 1..3")
@@ -686,3 +708,57 @@ def test_fuzzed_files_end_in_typed_errors(capsys, tmp_path):
             assert json.loads(out)["error"]["code"] != "internal", (files, argv, out)
     assert codes["generator", 2] >= 40 and min(codes["mu", 1], codes["mu", 2]) >= 15, codes
     assert min(codes[0], codes[1]) >= 10 and codes[2] >= 100, codes
+
+
+def random_tile_files(rng, tmp_path, n, empty):
+    """Relation and pattern files for `relpoly tile`: random plus, minus and
+    zero arcs on n rows (none when empty, so every tile is a singleton), and
+    integers in [0, 3], or thirds now and then, lowered along the arcs until
+    the pattern satisfies them."""
+    arcs = []
+    for _ in range(0 if empty else rng.randint(n, 2 * n)):
+        kind = rng.choice(("plus", "minus", "zero"))
+        k = rng.randint(1, n - 1)
+        if kind == "plus":
+            arcs.append(((k + 1, rng.randint(1, k + 1)), (k, rng.randint(1, k))))
+        elif kind == "minus":
+            arcs.append(((k, rng.randint(1, k)), (k + 1, rng.randint(1, k + 1))))
+        else:
+            i, j = rng.sample(range(1, n + 1), 2)
+            arcs.append(((n, i), (n, j)))
+    vals = {(k, i): rng.randint(0, 3) for k in range(1, n + 1) for i in range(1, k + 1)}
+    changed = True
+    while changed:
+        changed = False
+        for src, dst in arcs:
+            if vals[src] < vals[dst]:
+                vals[dst], changed = vals[src], True
+    den = rng.choice((1, 1, 3))
+    token = str if den == 1 else (lambda v: f"{v}/{den}")
+    rel, pat = tmp_path / f"r{n}.rel", tmp_path / f"r{n}.pat"
+    rel.write_text(fileio.dump_relations(RelationSet(n, arcs)))
+    pat.write_text("".join(" ".join(token(vals[(k, i)]) for i in range(1, k + 1)) + "\n"
+                           for k in range(n, 0, -1)))
+    return str(rel), str(pat)
+
+
+# sha256 over `relpoly tile` stdout, one exit code and output per request, on
+# three random sets and one empty set for each n in 4..14 (seed 2027),
+# taken before the kernel was read off the integer reduced rows.
+TILE_DIGESTS = {
+    "json": "e5f86ba061617e15c11b626b5d75be0031d0e842299167db77517064fef07cca",
+    "text": "3e334f2680ab13ad83639c595245a627c24826563288f13f68a239c8602fce23",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_tile_output_is_pinned(capsys, tmp_path, fmt):
+    rng = random.Random(2027)
+    digest = hashlib.sha256()
+    for n in range(4, 15):
+        for empty in (False, False, False, True):
+            rel, pat = random_tile_files(rng, tmp_path, n, empty)
+            code, out = run(capsys, "tile", "--relations", rel, "--pattern", pat,
+                            "--format", fmt)
+            digest.update(f"{code} {out}".encode())
+    assert digest.hexdigest() == TILE_DIGESTS[fmt]

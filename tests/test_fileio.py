@@ -1,6 +1,8 @@
 """Round-trips and error handling for the text/JSON file formats."""
 
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -185,3 +187,112 @@ def test_dump_pattern_matches_the_per_entry_dump():
 def test_load_json_error():
     with pytest.raises(ParseError):
         fileio.load_json("{not json")
+
+
+TOKEN_CORPUS = "0 007 -0 +3 -3 1_000 ٣ ² 3/1 -6/4 1e3 3.0 .5 1e-2 x sqrt2 sqrt2+1/2".split()
+
+
+def fraction_reading(tok):
+    """What each format read before parse_rational: Fraction(tok), an int
+    when it is integral; the exception Fraction raises, if it raises."""
+    try:
+        x = Fraction(tok)
+    except (ValueError, ZeroDivisionError) as exc:
+        return exc
+    return x.numerator if x.denominator == 1 else x
+
+
+def site_readings(tok):
+    """{site: (what the site read, its ParseError message or None)} for tok
+    as a pattern entry, a label offset, a label enclosure, a pattern JSON
+    entry or enclosure, and a combination coefficient."""
+    offset = tok if tok[0] in "+-" else "+" + tok
+    sites = {
+        "entry": lambda: fileio.parse_pattern(f"{tok}\n").entries[0].offset,
+        "offset": lambda: fileio.parse_pattern(f"a{offset}\na = 1 2\n").entries[0].offset,
+        "enclosure": lambda: fileio.parse_pattern(f"a\na = {tok} 2000\n").entries[0].lo,
+        "json entry": lambda: fileio.pattern_from_json({"n": 1, "entries": [tok]}).entries[0].offset,
+        "json enclosure": lambda: fileio.pattern_from_json(
+            {"n": 1, "entries": ["a"], "labels": {"a": [tok, "2000"]}}).entries[0].lo,
+        "coefficient": lambda: dict(fileio.lincomb_from_json(
+            {"terms": [{"pattern": {"n": 1, "entries": ["0"]}, "coeff": tok}]}).terms).get(
+                Pattern(1, (Entry(0),)), Fraction(0)),
+    }
+    out = {}
+    for site, read in sites.items():
+        try:
+            out[site] = read(), None
+        except ParseError as exc:
+            out[site] = None, str(exc)
+    return out
+
+
+@pytest.mark.parametrize("tok", TOKEN_CORPUS)
+def test_parse_rational_reads_what_fraction_read(tok):
+    want = fraction_reading(tok)
+    if isinstance(want, Exception):
+        with pytest.raises(type(want)) as info:
+            fileio.parse_rational(tok, "here")
+        assert str(info.value) == str(want)
+    else:
+        got = fileio.parse_rational(tok, "here")
+        assert (type(got), got) == (type(want), want)
+    readings = site_readings(tok)
+    if isinstance(want, Exception):
+        label = tok if tok[0].isalpha() else None  # read as a label, not a number
+        unknown = f"unknown label {label.split('+')[0]!r} (missing sidecar line?)" if label else None
+        offset = tok if tok[0] in "+-" else "+" + tok
+        assert readings == {
+            "entry": (None, f"line 1: {unknown or f'bad entry token {tok!r}'}"),
+            "offset": (None, f"line 1: bad entry token {'a' + offset!r}"),
+            "enclosure": (None, f"line 2: bad number {tok!r}"),
+            "json entry": (None, f"entries[0]: {unknown or f'bad entry token {tok!r}'}"),
+            "json enclosure": (None, f"label 'a': bad number {tok!r}"),
+            "coefficient": (None, f"bad combination JSON: {want}"),
+        }
+    else:
+        # Entries keep int iff integral; a coefficient is a Fraction.
+        assert {site: (type(x), x) for site, (x, _) in readings.items()} == {
+            **{site: (type(want), want) for site in readings}, "coefficient": (Fraction, want)}
+
+
+def test_only_ascii_digits_take_the_int_path():
+    # str.isdigit holds for both, but int rejects the superscript and
+    # Fraction reads the Arabic-Indic three through its own pattern.
+    assert "²".isdigit() and "٣".isdigit()
+    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+        fileio.parse_rational("²", "here")
+    assert fileio.parse_rational("٣", "here") == 3
+    assert [fileio.parse_rational(t, "here") for t in ("-0", "+0", "0012", "-12")] == [0, 0, 12, -12]
+    for tok in ("", "+", "-", "+-3", "--3", "3-", " 3x"):
+        with pytest.raises(ValueError):
+            fileio.parse_rational(tok, "here")
+
+
+BOUND = fileio.MAX_EXPONENT
+
+
+@pytest.mark.parametrize("tok", ["1e100000000", "-1E-100000000", "2.5e+100000000", ".5e" + "٩" * 9,
+                                 f"1e{BOUND + 1}", f"1e-{BOUND + 1}", "1e" + "0" * 20 + "7" * 12])
+def test_exponent_beyond_the_bound_is_a_parse_error(tok):
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=f"^here: exponent of {re.escape(repr(tok))} exceeds {BOUND} "):
+        fileio.parse_rational(tok, "here")
+    readings = site_readings(tok)
+    assert time.perf_counter() - start < 1
+    offset = tok if tok[0] in "+-" else "+" + tok
+    assert {site: message.split(": exponent of ")[0] for site, (_, message) in readings.items()} == {
+        "entry": "line 1", "offset": "line 1", "enclosure": "line 2", "json entry": "entries[0]",
+        "json enclosure": "label 'a'", "coefficient": "bad combination JSON: terms[0].coeff"}
+    assert repr(offset) in readings["offset"][1]
+
+
+def test_exponents_within_the_bound_are_read():
+    assert fileio.parse_rational(f"1e{BOUND}", "here") == 10 ** BOUND
+    assert fileio.parse_rational(f"-3E-{BOUND}", "here") == Fraction(-3, 10 ** BOUND)
+    assert fileio.parse_rational("1e" + "0" * 30 + "2", "here") == 100
+    # Malformed exponents are Fraction's to reject, with its message.
+    for tok in ("1e", "1e+", "1e1__0", "e5", "1e5x"):
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            fileio.parse_rational(tok, "here")
+
