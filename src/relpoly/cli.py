@@ -272,12 +272,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args, *(_load(kind, getattr(args, kind)) for kind in args.inputs))
-    except ParseError as exc:
-        print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}))
-        return 2
     except RelpolyError as exc:
         print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}))
-        return 1
+        return 2 if isinstance(exc, ParseError) else 1
     except Exception as exc:
         message = f"{type(exc).__name__}: {exc}"
         print(json.dumps({"error": {"code": "internal", "message": message}}))

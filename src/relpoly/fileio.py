@@ -11,7 +11,8 @@ sidecar line ``name = <lo> <hi>`` giving a decimal enclosure of the base;
 a second sidecar line for a name must give the same enclosure.
 
 Every rational these formats read goes through `parse_rational`, which
-rejects a decimal exponent beyond MAX_EXPONENT in magnitude.
+rejects an underscore and a decimal exponent beyond MAX_EXPONENT in
+magnitude.
 """
 
 import json
@@ -26,7 +27,7 @@ from .relations import RelationSet
 
 _LABEL_RE = re.compile(r"^([A-Za-z_]\w*)([+-].+)?$")
 _RELATION_RE = re.compile(r"^(\d+)\s+(\d+)\s*->\s*(\d+)\s+(\d+)$")
-_EXPONENT_RE = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
+_EXPONENT_RE = re.compile(r"[eE]([-+]?\d+)\s*$")
 
 # The largest decimal exponent, in magnitude, of a rational token.  Fraction
 # computes 10**e, so the ten bytes "1e10000000" alone would take seconds, and
@@ -39,19 +40,18 @@ def parse_rational(tok, where):
 
     A sign and ASCII digits go through int, anything else through Fraction,
     whose ValueError or ZeroDivisionError the caller words for its format.
-    An exponent beyond MAX_EXPONENT is a ParseError that names `where`.
+    An underscore is a ValueError, as Fraction gives it before Python 3.11,
+    so a token reads the same on every version.  An exponent beyond
+    MAX_EXPONENT is a ParseError that names `where`.
     """
     digits = tok[1:] if tok[:1] in ("+", "-") else tok
     if digits.isdigit() and digits.isascii():
         return int(tok)
+    if "_" in tok:
+        raise ValueError(f"Invalid literal for Fraction: {tok!r}")
     m = _EXPONENT_RE.search(tok)
-    if m is not None:
-        try:
-            exponent = int(m.group(1))
-        except ValueError:  # Fraction rejects it as well
-            exponent = 0
-        if abs(exponent) > MAX_EXPONENT:
-            raise ParseError(f"{where}: exponent of {tok!r} exceeds {MAX_EXPONENT} in magnitude")
+    if m is not None and abs(int(m.group(1))) > MAX_EXPONENT:
+        raise ParseError(f"{where}: exponent of {tok!r} exceeds {MAX_EXPONENT} in magnitude")
     x = Fraction(tok)
     return x.numerator if x.denominator == 1 else x
 
@@ -68,6 +68,8 @@ def parse_relations(text):
             if len(parts) != 2 or parts[0] != "n":
                 raise ParseError(f"line {lineno}: expected header 'n <int>'")
             try:
+                if "_" in parts[1]:  # int reads PEP 515 underscores; no format does
+                    raise ValueError
                 n = int(parts[1])
             except ValueError:
                 raise ParseError(f"line {lineno}: bad n {parts[1]!r}") from None

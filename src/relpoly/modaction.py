@@ -225,13 +225,13 @@ def check_commutators(C, L, sample):
     basis).  Each position keeps a table {generator: column}, and the column
     of a generator there is built the first time a bracket needs it, so a
     sample without a finite basis is fine.
-    Every other sum of vectors goes through one helper, combine, once per
-    bracket.  The cartan brackets are read off the diagonal: cartan_j
-    multiplies each tableau by its weight, which its own column holds.  The
-    weight vector of each position is read once off its n cartan columns,
-    and a raise or lower column passes all n of its cartan brackets when
-    every term's weight vector is that of the position moved by the
-    bracket's constant; only a column that does not is checked per j.  A
+    Every residual goes through one helper, combine, once per bracket.  The
+    cartan brackets are read off one weight table: each position's weight
+    vector is read once off its n cartan columns (cartan_j multiplies a
+    tableau by w_j), and a raise or lower column passes all n of its cartan
+    brackets when every term's weight vector is that of the position moved
+    by the bracket's constant.  Only a column that does not gets its n
+    residuals; a cartan column off its diagonal raises RuntimeError.  A
     distant same-type bracket is computed once, at k < l, and
     [kind_l, kind_k] is reported as its negation.
     """
@@ -294,49 +294,26 @@ def check_commutators(C, L, sample):
                 parts.append((sign * c, den * d, nums))
         return parts
 
-    def weight_at(j, t):
-        # w_j at position t, as (den, num), read off the cartan_j column.
-        den, nums = column((CARTAN, j), t)
-        if len(nums) > (t in nums):  # a key other than t
-            raise RuntimeError(
-                f"cartan{j} column at [{patterns[t]}] has a term off its diagonal")
-        return den, nums.get(t, 0)
-
     def weights(t):
-        # The weight vector of position t, one w_j per cartan column as
-        # (den, num) in lowest terms, so equal vectors are equal tuples.
-        # None if reading it raised (a column off its diagonal, or an error
-        # building one): every column with a term at t then goes through the
-        # per-j brackets, which raise that error again, in the order they
-        # build their columns.
-        try:
-            return weight_vectors[t]
-        except KeyError:
-            try:
-                w = tuple(weight_at(j, t) for j in range(1, n + 1))
-            except Exception:
-                w = None
-            weight_vectors[t] = w
-            return w
+        # The weight vector of position t: w_j for j = 1..n as (den, num),
+        # read off the cartan_j column and in lowest terms, so equal vectors
+        # are equal tuples.
+        w = weight_vectors.get(t)
+        if w is None:
+            w = []
+            for j in range(1, n + 1):
+                den, nums = column((CARTAN, j), t)
+                if len(nums) > (t in nums):  # a key other than t
+                    raise RuntimeError(
+                        f"cartan{j} column at [{patterns[t]}] has a term off its diagonal")
+                w.append((den, nums.get(t, 0)))
+            w = weight_vectors[t] = tuple(w)
+        return w
 
     def moved(w, k, sign):
         # The weight vector w + sign * (e_k - e_{k+1}), in the form of weights().
         (d, a), (e, b) = w[k - 1:k + 1]
         return w[:k - 1] + ((d, a + sign * d), (e, b - sign * e)) + w[k + 1:]
-
-    def cartan_bracket(j, gen, pos, want):
-        # [cartan_j, gen] e_pos - want * gen e_pos.  cartan_j is diagonal, so
-        # each term t of gen e_pos is scaled by w_j(t) - w_j(pos) - want.  The
-        # columns are built in the order bracket() builds them: gen at pos,
-        # cartan_j at each term in term order, then cartan_j at pos.
-        den, col = column(gen, pos)
-        ws = [weight_at(j, t) for t in col]
-        dp, wp = weight_at(j, pos)
-        common = lcm(dp, *(d for d, _ in ws))
-        shift = wp * (common // dp) + want * common
-        acc = {t: a * (w * (common // d) - shift)
-               for (t, a), (d, w) in zip(col.items(), ws)}
-        return den * common, {t: a for t, a in acc.items() if a}
 
     def residual(vec):
         den, nums = vec
@@ -354,21 +331,28 @@ def check_commutators(C, L, sample):
                 failures.append((f"[raise{k},lower{k}]", M, residual(res)))
         # Every cartan bracket with raise_k at pos holds iff each term of the
         # raise_k column moves the weight vector of pos by e_k - e_{k+1}, and
-        # likewise lower_k by e_{k+1} - e_k.  Only a column that fails this
-        # goes through the exact per-j brackets, which build the residuals.
-        wp = weights(pos)
+        # likewise lower_k by e_{k+1} - e_k; a column that fails this gets
+        # its per-j residuals.
         failing = set()
-        for k in range(1, n):
+        for k in range(1, n):  # weights(pos) read in here: n = 1 has no bracket
             for kind, sign in ((RAISE, 1), (LOWER, -1)):
-                want = None if wp is None else moved(wp, k, sign)
-                if want is None or any(weights(t) != want for t in column((kind, k), pos)[1]):
+                want = moved(weights(pos), k, sign)
+                if any(weights(t) != want for t in column((kind, k), pos)[1]):
                     failing.add((kind, k))
         for j in range(1, n + 1):
             for k in range(1, n):
                 want = (1 if j == k else 0) - (1 if j == k + 1 else 0)
                 for kind, sign in ((RAISE, 1), (LOWER, -1)):
                     if (kind, k) in failing:
-                        res = cartan_bracket(j, (kind, k), pos, sign * want)
+                        # [cartan_j, gen] e - s * gen e, s = sign * want: each
+                        # term t of gen e times w_j(t), less gen e times w_j(e) + s.
+                        den, col = column((kind, k), pos)
+                        d, w = weights(pos)[j - 1]
+                        parts = [(-(w + sign * want * d), den * d, col)]
+                        for t, a in col.items():
+                            d, w = weights(t)[j - 1]
+                            parts.append((w, den * d, {t: a}))
+                        res = combine(parts)
                         if res[1]:
                             failures.append((f"[cartan{j},{kind}{k}]", M, residual(res)))
         mirrors = {}

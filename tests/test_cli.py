@@ -124,6 +124,12 @@ def test_enumerate(capsys, tmp_path):
     assert (code, out) == (2, '{"error": {"code": "parse_error", '
                               '"message": "bad rational list \'1,x\'"}}\n')
 
+    # Fraction reads "1_0" as 10 from Python 3.11 on, 3.10 does not.
+    code, out = run(capsys, "enumerate", "--relations", str(rel),
+                    "--pattern", str(pat), "--mu", "1,1_0,1")
+    assert (code, out) == (2, '{"error": {"code": "parse_error", '
+                              '"message": "bad rational list \'1,1_0,1\'"}}\n')
+
     # Fraction would compute 10**100000000 for this exponent.
     start = time.perf_counter()
     code, out = run(capsys, "enumerate", "--relations", str(rel),

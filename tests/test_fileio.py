@@ -35,6 +35,8 @@ def test_relations_text_errors():
         fileio.parse_relations("n 3\n2 1 => 1 1\n")
     with pytest.raises(ParseError):
         fileio.parse_relations("n x\n")
+    with pytest.raises(ParseError, match="^line 1: bad n '1_0'$"):
+        fileio.parse_relations("n 1_0\n")  # int reads it as 10
 
 
 def test_relations_json_roundtrip():
@@ -189,13 +191,17 @@ def test_load_json_error():
         fileio.load_json("{not json")
 
 
-TOKEN_CORPUS = "0 007 -0 +3 -3 1_000 ٣ ² 3/1 -6/4 1e3 3.0 .5 1e-2 x sqrt2 sqrt2+1/2".split()
+TOKEN_CORPUS = ("0 007 -0 +3 -3 1_000 ٣ ² 3/1 -6/4 1e3 3.0 .5 1e-2 x sqrt2 sqrt2+1/2"
+                " -1_0 1_0/3 1/1_0 1.0_5 1e1_0 1e1_000_000_000 a_b+1_0").split()
 
 
 def fraction_reading(tok):
-    """What each format read before parse_rational: Fraction(tok), an int
-    when it is integral; the exception Fraction raises, if it raises."""
+    """What each format reads: Fraction(tok) as Python 3.10 reads it, with
+    no PEP 515 underscores, an int when it is integral; the exception
+    Fraction raises, if it raises."""
     try:
+        if "_" in tok:  # Fraction takes underscores from 3.11 on
+            raise ValueError(f"Invalid literal for Fraction: {tok!r}")
         x = Fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:
         return exc

@@ -178,6 +178,19 @@ def test_check_commutators_raises():
         check_commutators(C, M, [M])
 
 
+def test_check_commutators_n1_labeled_base(capsys, tmp_path):
+    # At n = 1 there is no bracket, so no generator acts and the labeled
+    # entry is never read: the one tableau is checked, with no failures.
+    C = RelationSet(1, [])
+    L = Pattern.from_rows([[Entry.sqrt(2)]])
+    assert check_commutators(C, L, [L]) == CommutatorReport(1)
+    rel, pat = tmp_path / "n1.rel", tmp_path / "n1.pat"
+    rel.write_text(fileio.dump_relations(C))
+    pat.write_text(fileio.dump_pattern(L))
+    code = main(["commutators", "--relations", str(rel), "--pattern", str(pat)])
+    assert (code, capsys.readouterr().out) == (0, '{"checked": 1, "failures": []}\n')
+
+
 def reference_check_commutators(C, L, sample):
     """The bracket identities as a plain composition of act_in_basis calls."""
     n = L.n
