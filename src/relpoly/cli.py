@@ -15,7 +15,6 @@ from . import fileio
 from .errors import ParseError, RelpolyError
 from .linalg import _ZERO
 from .modaction import RAISE, LOWER, CARTAN, act_in_basis, check_commutators
-from .patterns import weight_vector
 from .polyhedra import BoundednessReport, _row_map, _walk, first_points, is_polytope
 from .relations import check_admissible, is_reduced, is_top_connected, standard_set
 from .selftest import run_selftest

@@ -232,10 +232,15 @@ def lincomb_to_json(v):
 
 
 def _coefficient(c, i):
-    """A JSON coefficient: a string token, or a number as Fraction takes it."""
+    """A JSON coefficient: a string token, or an integer as it is.  Any other
+    value (a float, a bool, null, a list) is a ParseError: a float is not the
+    number its digits spell."""
+    where = f"bad combination JSON: terms[{i}].coeff"
     if type(c) is str:
-        return parse_rational(c, f"bad combination JSON: terms[{i}].coeff")
-    return Fraction(c)
+        return parse_rational(c, where)
+    if type(c) is int:
+        return c
+    raise ParseError(f"{where} must be a string token or an integer, got {json.dumps(c)}")
 
 
 def lincomb_from_json(obj):

@@ -161,44 +161,24 @@ def _act_one(gen, M):
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def _in_basis_terms(gen, M, locate):
-    """Terms of one generator on one tableau, split by basis membership.
-
-    locate maps a tableau to its key in the basis, or to None outside it.
-    Returns the in-basis terms as {key: coefficient} and the dropped ones as
-    a list of (tableau, coefficient), both in term order.
-    """
-    kept = {}
-    dropped = []
-    for target, c in _act_one(gen, M).terms:
-        key = locate(target)
-        if key is None:
-            dropped.append((target, c))
-        else:
-            kept[key] = c
-    return kept, dropped
-
-
 def act_in_basis(C, L, gen, v, strict=False):
     """Linear extension of a generator with the basis-membership filter.
 
-    Terms landing outside the basis are treated as zero.  With strict=True a
-    nonzero out-of-basis coefficient raises OutOfBasisLeak.
+    Terms landing outside the basis are treated as zero.  With strict=True
+    the first of them, in the order of v's terms and then of the
+    generator's terms on each, raises OutOfBasisLeak with its target and
+    its coefficient in the result.
     """
     for pattern, _ in v.terms:
         if not _satisfies(C, pattern):
             raise NotSatisfying("input term outside the basis")
-
-    def locate(P):
-        return P if _satisfies(C, P) else None
-
     items = []
     for pattern, coeff in v.terms:
-        kept, dropped = _in_basis_terms(gen, pattern, locate)
-        if strict and dropped:
-            target, c = dropped[0]
-            raise OutOfBasisLeak(target, c * coeff)
-        items += [(target, c * coeff) for target, c in kept.items()]
+        for target, c in _act_one(gen, pattern).terms:
+            if _satisfies(C, target):
+                items.append((target, c * coeff))
+            elif strict:
+                raise OutOfBasisLeak(target, c * coeff)
     return LinComb.build(items)
 
 
@@ -259,7 +239,11 @@ def check_commutators(C, L, sample):
         cols = columns[j]
         col = cols.get(gen)
         if col is None:
-            kept = _in_basis_terms(gen, patterns[j], locate)[0]
+            kept = {}
+            for target, c in _act_one(gen, patterns[j]).terms:
+                t = locate(target)
+                if t is not None:
+                    kept[t] = c
             den = lcm(*[c.denominator for c in kept.values()])
             col = cols[gen] = (
                 den, {t: c.numerator * (den // c.denominator) for t, c in kept.items()})

@@ -73,6 +73,24 @@ def test_check_counterexample(capsys, tmp_path):
     assert obj["witness"] == [[2, 1], [2, 2]]
 
 
+def test_check_lists_nested_violations(capsys, tmp_path):
+    # (1,1) has two up-in arcs, and 3 1 -> 3 3 is implied by the top path
+    # through (3,2): each violation's witness tuples print as nested lists.
+    rel = tmp_path / "nonreduced.rel"
+    rel.write_text("n 3\n3 1 -> 3 2\n3 2 -> 3 3\n3 1 -> 3 3\n2 1 -> 1 1\n2 2 -> 1 1\n")
+    violations = [["multiple_up_in", [1, 1]], ["redundant_top_relation", [[3, 1], [3, 3]]]]
+    code, out = run(capsys, "check", "--relations", str(rel))
+    assert code == 0
+    assert out == json.dumps({
+        "admissible": "Inapplicable", "reason": "not reduced", "reduced": False,
+        "top_connected": False, "violations": violations}) + "\n"
+    code, out = run(capsys, "check", "--relations", str(rel), "--format", "text")
+    assert code == 0
+    assert out.splitlines() == [
+        "admissible: Inapplicable", "reason: not reduced", "reduced: False",
+        "top_connected: False", f"violations: {violations}"]
+
+
 def test_tile_figure(capsys, fig_files):
     rel, pat = fig_files
     code, out = run(capsys, "tile", "--relations", rel, "--pattern", pat)
@@ -431,6 +449,32 @@ def test_act(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr("sys.stdin", io.StringIO(vec.read_text()))
     assert run(capsys, "act", "--relations", str(rel), "--pattern", str(pat),
                "--generator", "E 1 2", "--input", "-") == (0, out)
+
+
+def test_act_reads_an_integer_coefficient_and_rejects_a_float(capsys, tmp_path):
+    # cartan_1 on the C1 base of lambda = (2,1,0) multiplies by 2.  The float
+    # 0.1 once read as 3602879701896397/36028797018963968 and printed its
+    # double; a bool read as 1.  Both are parse errors now.
+    rel = tmp_path / "c1.rel"
+    rel.write_text(fileio.dump_relations(standard_set(3, 1, "both")))
+    pat = tmp_path / "l.pat"
+    pat.write_text("2 1 0\n2 1\n2\n")
+    vec = tmp_path / "v.json"
+    argv = ["act", "--relations", str(rel), "--pattern", str(pat),
+            "--generator", "E 1 1", "--input", str(vec)]
+    entries = ["2", "1", "0", "2", "1", "2"]
+    outs = {}
+    for coeff in ("3", 3, 0.1, True):
+        vec.write_text(json.dumps({"terms": [{"coeff": coeff, "pattern": {
+            "entries": entries, "n": 3}}]}))
+        outs[json.dumps(coeff)] = run(capsys, *argv)
+    want = {"terms": [{"coeff": "6", "pattern": {"entries": entries, "n": 3}}]}
+    assert outs.pop('"3"') == outs.pop("3") == (0, json.dumps(want, sort_keys=True) + "\n")
+    for spelled, (code, out) in outs.items():
+        assert code == 2
+        assert json.loads(out) == {"error": {"code": "parse_error", "message": (
+            "bad combination JSON: terms[0].coeff must be a string token or an integer, "
+            f"got {spelled}")}}
 
 
 def test_act_bad_generator(capsys, tmp_path):

@@ -101,6 +101,29 @@ def test_lincomb_json_roundtrip():
         fileio.lincomb_from_json({"terms": [{"coeff": "1"}]})
 
 
+def test_lincomb_json_coefficient_is_a_token_or_an_integer():
+    # A JSON integer reads as it is.  A float is not the number its digits
+    # spell (0.1 would read 3602879701896397/36028797018963968), so it is a
+    # parse error, as are a bool, null and a list.
+    base = Pattern(1, (Entry(0),))
+
+    def read(coeff):
+        return fileio.lincomb_from_json(
+            {"terms": [{"pattern": {"n": 1, "entries": ["0"]}, "coeff": coeff}]})
+
+    for coeff in (3, "3", 10 ** 30, -7):
+        got = dict(read(coeff).terms)[base]
+        assert (type(got), got) == (Fraction, Fraction(int(coeff)))
+    assert read(0).is_zero()
+    for coeff, spelled in ((0.1, "0.1"), (1.5, "1.5"), (True, "true"), (False, "false"),
+                           (None, "null"), ([1], "[1]")):
+        with pytest.raises(ParseError) as info:
+            read(coeff)
+        assert str(info.value) == (
+            "bad combination JSON: terms[0].coeff must be a string token or an integer, "
+            f"got {spelled}")
+
+
 def random_entry(rng):
     """A rational, or now and then a sqrt label with a rational offset."""
     offset = Fraction(rng.randint(-9, 9), rng.randint(1, 5))

@@ -30,6 +30,24 @@ def test_imports_are_module_level_and_stdlib_only():
                            for name in names), where
 
 
+def test_every_imported_name_is_used():
+    # A name a module imports and never reads is dead weight; __init__.py
+    # imports to re-export, so it is left out.
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = f"{path.name}:{node.lineno}"
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = [f"{where}: {name}" for name, where in imported.items() if name not in used]
+        assert not unused, unused
+
+
 def test_console_script_names_a_callable():
     # pyproject.toml is read line by line: Python 3.10 has no tomllib.
     section, scripts = None, {}

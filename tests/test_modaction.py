@@ -119,6 +119,23 @@ def test_act_in_basis_wall_drop():
         act_in_basis(C, L, (LOWER, 1), LinComb.single(L), strict=True)
 
 
+def test_act_in_basis_strict_names_the_first_leak():
+    # lower_2 keeps every term of the first basis vector, and on the second
+    # one keeps its first term, then leaks 2/3 onto x_22 = -1; the leak is
+    # raised with that target and 2/3 times the input coefficient 3/4.
+    C = standard_set(3, 1, "both")
+    L = rows((2, 1, 0), (2, 1), (2,))
+    first, second = rows((2, 1, 0), (1, 1), (1,)), rows((2, 1, 0), (2, 0), (1,))
+    v = LinComb.build([(first, 1), (second, Fraction(3, 4))])
+    assert [P for P, _ in v.terms] == [first, second]
+    assert act_in_basis(C, L, (LOWER, 2), v) == LinComb.single(
+        rows((2, 1, 0), (1, 0), (1,)), 1 + Fraction(1, 3) * Fraction(3, 4))
+    with pytest.raises(OutOfBasisLeak) as info:
+        act_in_basis(C, L, (LOWER, 2), v, strict=True)
+    assert info.value.pattern == rows((2, 1, 0), (2, -1), (1,))
+    assert (type(info.value.coeff), info.value.coeff) == (Fraction, Fraction(1, 2))
+
+
 def test_check_commutators_small_modules():
     for lam in ((1, 0), (2, 0), (2, 1, 0), (1, 1, 0)):
         n = len(lam)
@@ -326,20 +343,42 @@ def test_check_commutators_fractional_failure_matches_reference():
                         "(-49/216)*[0 2 3 | 5/6 5/6 | 5/6]")])
 
 
+# Perturbed actions, each wrapping the true function it replaces, so that
+# the commutator check has failing brackets to report.  The pinned digests
+# in tests/test_pinned_digests.py run them too.
+
+def diagonal_cartan(true_cartan):
+    # Adds 1/2 or -1 to the weight on two thirds of the tableaux.
+    def act(k, M):
+        v = true_cartan(k, M)
+        r = (sum(e.offset for e in M.entries) + k) % 3
+        return v if r == 0 else v + LinComb.single(M, Fraction(1, 2) if r == 1 else -1)
+    return act
+
+
+def term_side_raise(true_raise):
+    # On a third of the tableaux, the terms move row k+1 instead of row k.
+    def act(k, M):
+        v = true_raise(k, M)
+        if (sum(e.offset for e in M.entries) + k) % 3 or k + 1 > M.n - 1:
+            return v
+        return LinComb.build((M.shifted(k + 1, 1, 1), c) for _, c in v.terms)
+    return act
+
+
+def distant_raise(true_raise):
+    # raise_3 doubles on even l_11, so [raise1,raise3] fails.
+    def act(k, M):
+        v = true_raise(k, M)
+        return v.scale(2) if k == 3 and M[(1, 1)].offset % 2 == 0 else v
+    return act
+
+
 def test_diagonal_cartan_brackets_fail_like_the_reference(monkeypatch):
     # No true action fails a cartan bracket, so the failures come from an
     # act_cartan that adds 1/2 or -1 to the weight on two thirds of the
     # tableaux; the reference reaches it through act_in_basis.
-    true_cartan = modaction.act_cartan
-
-    def perturbed(k, M):
-        v = true_cartan(k, M)
-        r = (sum(e.offset for e in M.entries) + k) % 3
-        if r == 0:
-            return v
-        return v + LinComb.single(M, Fraction(1, 2) if r == 1 else -1)
-
-    monkeypatch.setattr(modaction, "act_cartan", perturbed)
+    monkeypatch.setattr(modaction, "act_cartan", diagonal_cartan(modaction.act_cartan))
     cases = []
     for lam in ((2, 1, 0), (2, 1, 1, 0)):
         n = len(lam)
@@ -369,13 +408,7 @@ def test_distant_brackets_fail_like_the_reference(monkeypatch):
     # raise_1 and raise_3 read and move disjoint rows, so no true action
     # fails [raise1,raise3]; an act_raise(3, .) that doubles on even l_11
     # does, and [raise3,raise1] must come out as its negation, in its place.
-    true_raise = modaction.act_raise
-
-    def perturbed(k, M):
-        v = true_raise(k, M)
-        return v.scale(2) if k == 3 and M[(1, 1)].offset % 2 == 0 else v
-
-    monkeypatch.setattr(modaction, "act_raise", perturbed)
+    monkeypatch.setattr(modaction, "act_raise", distant_raise(modaction.act_raise))
     C = standard_set(4, 1, "both")
     L = rows((3, 2, 1, 0), (3, 2, 1), (3, 2), (3,))
     sample = enumerate_integral(C, L).points[::4]
@@ -390,15 +423,7 @@ def test_term_side_cartan_brackets_fail_like_the_reference(monkeypatch):
     # row k+1 instead of row k: the cartan columns stay true, but the terms
     # land on the wrong weight, so the weight-vector comparison must fall
     # back to the exact per-j residuals.
-    true_raise = modaction.act_raise
-
-    def perturbed(k, M):
-        v = true_raise(k, M)
-        if (sum(e.offset for e in M.entries) + k) % 3 or k + 1 > M.n - 1:
-            return v
-        return LinComb.build((M.shifted(k + 1, 1, 1), c) for _, c in v.terms)
-
-    monkeypatch.setattr(modaction, "act_raise", perturbed)
+    monkeypatch.setattr(modaction, "act_raise", term_side_raise(modaction.act_raise))
     cases = []
     for lam in ((2, 1, 0), (2, 1, 1, 0), (3, 2, 1, 0)):
         n = len(lam)

@@ -8,14 +8,20 @@ alters an output on purpose, it updates the digest and says why.
 
 import hashlib
 import random
-from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
 from relpoly import modaction
-from relpoly.modaction import LinComb, check_commutators
-from test_modaction import commutator_outcome, random_relation_set, random_sample
+from relpoly.modaction import check_commutators
+from test_modaction import (
+    commutator_outcome,
+    diagonal_cartan,
+    distant_raise,
+    random_relation_set,
+    random_sample,
+    term_side_raise,
+)
 
 COMMUTATOR_SEEDS = range(1000, 1005)
 COMMUTATOR_CASES_PER_SEED = 1200
@@ -33,38 +39,10 @@ def commutator_cases():
     return tuple(cases)
 
 
-# The perturbed actions of the *_fail_like_the_reference tests in
-# tests/test_modaction.py, so that failing brackets are pinned as well.
-
-def diagonal_cartan(true_cartan):
-    # Adds 1/2 or -1 to the weight on two thirds of the tableaux.
-    def act(k, M):
-        v = true_cartan(k, M)
-        r = (sum(e.offset for e in M.entries) + k) % 3
-        return v if r == 0 else v + LinComb.single(M, Fraction(1, 2) if r == 1 else -1)
-    return act
-
-
-def term_side_raise(true_raise):
-    # On a third of the tableaux, the terms move row k+1 instead of row k.
-    def act(k, M):
-        v = true_raise(k, M)
-        if (sum(e.offset for e in M.entries) + k) % 3 or k + 1 > M.n - 1:
-            return v
-        return LinComb.build((M.shifted(k + 1, 1, 1), c) for _, c in v.terms)
-    return act
-
-
-def distant_raise(true_raise):
-    # raise_3 doubles on even l_11, so [raise1,raise3] fails.
-    def act(k, M):
-        v = true_raise(k, M)
-        return v.scale(2) if k == 3 and M[(1, 1)].offset % 2 == 0 else v
-    return act
-
-
 # action -> (the function it replaces, the perturbation, the sha256 of the
 # outcomes); the true action runs every case, a perturbed one every 5th.
+# The perturbations are those of the *_fail_like_the_reference tests in
+# tests/test_modaction.py, so that failing brackets are pinned as well.
 COMMUTATOR_DIGESTS = {
     "true": (
         None, None, "3ec3cb588422f5737ee73e1b05a9e3bd221505130060de8e06038260e7732842"),
