@@ -8,7 +8,9 @@ Relation text format, one relation per line::
 Pattern text format: n lines, top row first, whitespace-separated entries.
 Rationals are ``p/q``; labeled entries ``name`` or ``name+p/q`` with a
 sidecar line ``name = <lo> <hi>`` giving a decimal enclosure of the base;
-a second sidecar line for a name must give the same enclosure.
+a second sidecar line for a name must give the same enclosure.  A name is
+a letter or ``_`` followed by letters, digits or ``_``, in the sidecar
+lines and the JSON ``labels`` keys alike.
 
 Every rational these formats read goes through `parse_rational`, which
 rejects an underscore and a decimal exponent beyond MAX_EXPONENT in
@@ -25,7 +27,8 @@ from .modaction import LinComb
 from .patterns import Entry, Pattern
 from .relations import RelationSet
 
-_LABEL_RE = re.compile(r"^([A-Za-z_]\w*)([+-].+)?$")
+_NAME_RE = re.compile(r"[A-Za-z_]\w*")  # a label name, with fullmatch
+_LABEL_RE = re.compile(rf"^({_NAME_RE.pattern})([+-].+)?$")
 _RELATION_RE = re.compile(r"^(\d+)\s+(\d+)\s*->\s*(\d+)\s+(\d+)$")
 _EXPONENT_RE = re.compile(r"[eE]([-+]?\d+)\s*$")
 
@@ -150,7 +153,7 @@ def parse_pattern(text):
             name, _, rest = line.partition("=")
             name = name.strip()
             parts = rest.split()
-            if not _LABEL_RE.match(name) or len(parts) != 2:
+            if not _NAME_RE.fullmatch(name) or len(parts) != 2:
                 raise ParseError(f"line {lineno}: expected 'name = <lo> <hi>'")
             enclosure = _enclosure(*parts, f"line {lineno}")
             if labels.setdefault(name, enclosure) != enclosure:
@@ -216,6 +219,10 @@ def pattern_from_json(obj):
             isinstance(v, list) and len(v) == 2 and all(isinstance(x, str) for x in v)
             for v in labels.values())):
         raise ParseError("bad pattern JSON: labels must map each name to [lo, hi] strings")
+    for name in labels:
+        if not _NAME_RE.fullmatch(name):
+            raise ParseError(f"bad pattern JSON: label name {name!r} is not a letter or _"
+                             " followed by letters, digits or _")
     labels = {name: _enclosure(lo, hi, f"label {name!r}") for name, (lo, hi) in labels.items()}
     entries = [_parse_entry(t, labels, f"entries[{i}]") for i, t in enumerate(toks)]
     if len(entries) != n * (n + 1) // 2:

@@ -2,15 +2,16 @@
 
 Elimination works on sparse integer rows, dicts from column to a nonzero int.
 `sparse_rank` takes such rows; `rref` and `nullspace` convert each dense
-input row once.  Each row is scaled to coprime integers.  It is then
-reduced against an echelon basis keyed by leading column: cross-multiply to
-clear the leading entry, then divide out the content (the gcd of the
-entries), which leaves no remainder.  This is fraction-free elimination (see
-E. H. Bareiss, Math. Comp. 22, 1968), and rows stay short when the input is
-sparse.  When the two leading entries agree up to sign, the common case on
-0/+-1 rows, the step is a plain subtraction of rows, with no gcd.  The rank
-is the pivot count of this forward pass.  Back-substitution, for `rref` and
-`nullspace` only, runs on the same integer rows (`_reduced`).
+input row once, scaled to integers by the lcm of its denominators.  Each row
+is then reduced against an echelon basis keyed by leading column:
+cross-multiply to clear the leading entry, then divide out the content (the
+gcd of the entries), which leaves no remainder.  This is fraction-free
+elimination (see E. H. Bareiss, Math. Comp. 22, 1968), and rows stay short
+when the input is sparse.  When the two leading entries agree up to sign,
+the common case on 0/+-1 rows, the step is a plain subtraction of rows, with
+no gcd.  The rank is the pivot count of this forward pass.
+Back-substitution, for `rref` and `nullspace` only, runs on the same integer
+rows (`_reduced`).
 
 ``Fraction``s appear only in the results.  ``rref`` divides each reduced row
 by its pivot entry.  ``nullspace`` reads each vector off the integer reduced
@@ -40,15 +41,6 @@ def _integer_row(row, ncols):
     return sparse
 
 
-def _primitive(row):
-    """Divide out the row's content, in place; return the row."""
-    g = gcd(*row.values())
-    if g > 1:
-        for c in row:
-            row[c] //= g
-    return row
-
-
 def _eliminate(row, col, pivot_row):
     """Clear `col` from `row` with an integer multiple of `pivot_row`, in place.
 
@@ -72,8 +64,11 @@ def _eliminate(row, col, pivot_row):
             row[c] = y
         else:
             del row[c]
-    if row and not unit:
-        _primitive(row)
+    if not unit:
+        g = gcd(*row.values())  # the content; 0 when the row is cleared
+        if g > 1:
+            for c in row:
+                row[c] //= g
 
 
 def _echelon(rows):
@@ -84,7 +79,6 @@ def _echelon(rows):
     basis = {}
     pivot_of = basis.get
     for row in rows:
-        _primitive(row)
         while row:
             lead = min(row)
             pivot_row = pivot_of(lead)

@@ -211,7 +211,8 @@ def check_commutators(C, L, sample):
     tableau by w_j), and a raise or lower column passes all n of its cartan
     brackets when every term's weight vector is that of the position moved
     by the bracket's constant.  Only a column that does not gets its n
-    residuals; a cartan column off its diagonal raises RuntimeError.  A
+    cartan residuals, each through bracket and combine like every other
+    bracket; a cartan column off its diagonal raises RuntimeError.  A
     distant same-type bracket is computed once, at k < l, and
     [kind_l, kind_k] is reported as its negation.
     """
@@ -315,30 +316,21 @@ def check_commutators(C, L, sample):
                 failures.append((f"[raise{k},lower{k}]", M, residual(res)))
         # Every cartan bracket with raise_k at pos holds iff each term of the
         # raise_k column moves the weight vector of pos by e_k - e_{k+1}, and
-        # likewise lower_k by e_{k+1} - e_k; a column that fails this gets
-        # its per-j residuals.
-        failing = set()
+        # likewise lower_k by e_{k+1} - e_k.  Every term's weights are read,
+        # so a cartan column off its diagonal raises here.
+        failing = []
         for k in range(1, n):  # weights(pos) read in here: n = 1 has no bracket
             for kind, sign in ((RAISE, 1), (LOWER, -1)):
                 want = moved(weights(pos), k, sign)
-                if any(weights(t) != want for t in column((kind, k), pos)[1]):
-                    failing.add((kind, k))
+                if [t for t in column((kind, k), pos)[1] if weights(t) != want]:
+                    failing.append((kind, k, sign))
         for j in range(1, n + 1):
-            for k in range(1, n):
-                want = (1 if j == k else 0) - (1 if j == k + 1 else 0)
-                for kind, sign in ((RAISE, 1), (LOWER, -1)):
-                    if (kind, k) in failing:
-                        # [cartan_j, gen] e - s * gen e, s = sign * want: each
-                        # term t of gen e times w_j(t), less gen e times w_j(e) + s.
-                        den, col = column((kind, k), pos)
-                        d, w = weights(pos)[j - 1]
-                        parts = [(-(w + sign * want * d), den * d, col)]
-                        for t, a in col.items():
-                            d, w = weights(t)[j - 1]
-                            parts.append((w, den * d, {t: a}))
-                        res = combine(parts)
-                        if res[1]:
-                            failures.append((f"[cartan{j},{kind}{k}]", M, residual(res)))
+            for kind, k, sign in failing:
+                s = sign * ((j == k) - (j == k + 1))  # [cartan_j, g] e = s * g e
+                res = combine(bracket((CARTAN, j), (kind, k), pos)
+                              + [(-s, *column((kind, k), pos))])
+                if res[1]:
+                    failures.append((f"[cartan{j},{kind}{k}]", M, residual(res)))
         mirrors = {}
         for k in range(1, n):
             for l in range(1, n):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from relpoly import fileio
+from relpoly import cli, fileio
 from relpoly.errors import ParseError
 from relpoly.modaction import LinComb
 from relpoly.patterns import Entry, Pattern, constant_pattern
@@ -81,6 +81,29 @@ def test_pattern_text_one_enclosure_per_label():
         fileio.parse_pattern("a 0\na\na = 1 2\na = 5 6\n")
     X = fileio.parse_pattern("a 0\na\na = 1 2\na = 1.0 2\n")  # the same one again
     assert X[(2, 1)] == X[(1, 1)] and (X[(1, 1)].lo, X[(1, 1)].hi) == (1, 2)
+
+
+@pytest.mark.parametrize("name", ["a+1", "a-1/2", "1bad", "a b", "sqrt2+"])
+def test_label_names_are_identifiers(name):
+    # A name no entry could spell is a ParseError where it is declared, not
+    # an "unknown label" at the first entry that tries.
+    with pytest.raises(ParseError, match=r"^line 2: expected 'name = <lo> <hi>'$"):
+        fileio.parse_pattern(f"0\n{name} = 1 2\n")
+    with pytest.raises(ParseError, match=re.escape(f"bad pattern JSON: label name {name!r}")):
+        fileio.pattern_from_json({"n": 1, "entries": ["0"], "labels": {name: ["1", "2"]}})
+    for ok in ("a", "_a1", "sqrt2"):
+        X = fileio.parse_pattern(f"{ok}+1\n{ok} = 1 2\n")
+        assert fileio.pattern_from_json(fileio.pattern_to_json(X)) == X
+
+
+def test_facedim_rejects_a_sidecar_name_with_an_offset(capsys, tmp_path):
+    rel, pat = tmp_path / "c1.rel", tmp_path / "bad.pat"
+    rel.write_text(fileio.dump_relations(standard_set(2, 1, "both")))
+    pat.write_text("a+1 0\na\na+1 = 1 2\na = 1 2\n")
+    assert cli.main(["facedim", "--relations", str(rel), "--pattern", str(pat)]) == 2
+    assert capsys.readouterr().out == (
+        '{"error": {"code": "parse_error", '
+        '"message": "line 3: expected \'name = <lo> <hi>\'"}}\n')
 
 
 def test_pattern_json_roundtrip():

@@ -13,7 +13,14 @@ from relpoly.errors import (
     SizeMismatch,
 )
 from relpoly.linalg import nullspace, rref
-from relpoly.patterns import Pattern, constant_pattern, is_c_pattern, weight_vector
+from relpoly.patterns import (
+    Entry,
+    Pattern,
+    constant_pattern,
+    is_c_pattern,
+    separation,
+    weight_vector,
+)
 from relpoly.relations import connected_components, standard_set, vertices
 from relpoly.selftest import random_c_pattern
 from test_patterns import (
@@ -205,6 +212,24 @@ def test_perturbation_basis_figure_kernel_rows():
     for Y in basis[:5]:
         assert all(e.offset == 0 for e in Y.row(5))
         assert weight_vector(Y) == (0,) * 5
+
+
+def test_perturbation_basis_with_labeled_entries():
+    # sqrt2-labeled entries beside rational ones, so the minimal gap takes
+    # certified separations of entries under two different labels.
+    C = standard_set(3, 1, "both")
+    r2 = Entry.sqrt(2)
+    X = Pattern.from_rows([[r2.add(2), r2, 0], [r2.add(1), Fraction(1, 2)], [1]])
+    assert min_face_dims(C, X) == (6, 3, 1)
+    tiling = compute_tiling(C, X)
+    basis = build_perturbation_basis(C, X)
+    assert len(basis) == 6
+    for Y in basis:
+        for sign in (1, -1):
+            Z = Pattern(3, tuple(a.add(sign * b.offset) for a, b in zip(X.entries, Y.entries)))
+            assert is_c_pattern(C, Z) and compute_tiling(C, Z) == tiling
+    with pytest.raises(IncomparableEntries):
+        separation(r2, Entry.rational((r2.lo + r2.hi) / 2))
 
 
 def test_membership_closure():
