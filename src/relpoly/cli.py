@@ -1,13 +1,15 @@
 """Batch command-line front end with stable JSON/text output.
 
-Exit codes: 0 success, 1 domain errors and internal errors (structured
-error JSON on stdout), 2 I/O or parse errors, and usage errors such as a
+Exit codes: 0 success; 1 domain and internal errors and 2 I/O or parse
+errors, each as error JSON on stdout; 2 also for usage errors such as a
 negative --limit or --count or an --n below 1 (argparse's message on
-stderr).
+stderr); 141 (128 + SIGPIPE), with nothing more written, once stdout's
+reader has closed.
 """
 
 import argparse
 import json
+import os
 import sys
 from itertools import islice
 
@@ -17,22 +19,14 @@ from .linalg import _ZERO
 from .modaction import RAISE, LOWER, CARTAN, act_in_basis, check_commutators
 from .polyhedra import BoundednessReport, _row_map, _walk, first_points, is_polytope
 from .relations import check_admissible, is_reduced, is_top_connected, standard_set
-from .selftest import run_selftest
-from .tiling import (
-    compute_tiling,
-    kernel,
-    min_face_dims,
-    tiling_matrix,
-)
+from .selftest import DEFAULT_COUNT, run_selftest
+from .tiling import compute_tiling, kernel, min_face_dims, tiling_matrix
 
 FAMILIES = {"C1": (1, "both"), "Ck": (None, "both"), "Ck+": (None, "plus"),
             "Ck-": (None, "minus"), "empty": (1, "empty")}
 
-ADMISSIBLE_LABELS = {
-    "admissible": "Admissible",
-    "not_admissible": "NotAdmissible",
-    "inapplicable": "Inapplicable",
-}
+ADMISSIBLE_LABELS = {"admissible": "Admissible", "not_admissible": "NotAdmissible",
+                     "inapplicable": "Inapplicable"}
 
 
 def _read(path):
@@ -186,10 +180,7 @@ def _parse_generator(spec, n):
 
 def cmd_act(args, C, L):
     gen = _parse_generator(args.generator, C.n)
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        text = _read(args.input)
+    text = sys.stdin.read() if args.input == "-" else _read(args.input)
     v = fileio.lincomb_from_json(fileio.load_json(text))
     result = act_in_basis(C, L, gen, v)
     print(json.dumps(fileio.lincomb_to_json(result), sort_keys=True))
@@ -210,18 +201,9 @@ def cmd_commutators(args, C, L):
 
 
 def cmd_selftest(args):
-    report = run_selftest(args.seed, args.count)
-    face = report["face_dim"]
-    print(f"face-dim oracle sweep: {face['checked']} instances, "
-          f"{len(face['failures'])} failures")
-    for entry in report["commutators"]:
-        print(f"commutators {entry['module']}: {entry['checked']} vectors, "
-              f"{len(entry['failures'])} failures")
-    for entry in report["counts"]:
-        print(f"counts {entry['module']}: {entry['count']} points, "
-              f"Weyl dimension {entry['weyl_dim']}")
-    print("selftest:", "PASS" if report["ok"] else "FAIL")
-    return 0 if report["ok"] else 1
+    lines, ok = run_selftest(args.seed, args.count)
+    print(*lines, "selftest: PASS" if ok else "selftest: FAIL", sep="\n")
+    return 0 if ok else 1
 
 
 def build_parser():
@@ -262,7 +244,7 @@ def build_parser():
 
     p = add("selftest", cmd_selftest, formats=False, help="seeded verification sweeps")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=_int_at_least(0), default=200)
+    p.add_argument("--count", type=_int_at_least(0), default=DEFAULT_COUNT)
     return parser
 
 
@@ -270,10 +252,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, *(_load(kind, getattr(args, kind)) for kind in args.inputs))
+        code = args.func(args, *(_load(kind, getattr(args, kind)) for kind in args.inputs))
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
     except RelpolyError as exc:
         print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}))
         return 2 if isinstance(exc, ParseError) else 1
+    except BrokenPipeError:
+        # The reader is gone: send what stdout still buffers to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception as exc:
         message = f"{type(exc).__name__}: {exc}"
         print(json.dumps({"error": {"code": "internal", "message": message}}))

@@ -28,7 +28,7 @@ from relpoly.relations import (
     is_top_connected,
     standard_set,
 )
-from relpoly.selftest import face_dim_sweep
+from relpoly.selftest import face_dim_sweep, gt_base
 from relpoly.tiling import compute_tiling, min_face_dims, tiling_matrix
 
 FIG_C = standard_set(5, 1, "plus")
@@ -50,11 +50,6 @@ def scoreboard(capsys):
     return report
 
 
-def gt_base(lam):
-    n = len(lam)
-    return Pattern.from_rows([list(lam[:k]) for k in range(n, 0, -1)])
-
-
 def test_criterion_1_tiling_matrix(scoreboard):
     start = time.monotonic()
     A = tiling_matrix(FIG_C, FIG_X)
@@ -73,9 +68,9 @@ def test_criterion_2_face_dims(scoreboard):
 
 def test_criterion_3_oracle_equivalence(scoreboard):
     start = time.monotonic()
-    result = face_dim_sweep(seed=0, count=200)
-    assert result["checked"] >= 200
-    assert result["failures"] == []
+    records = face_dim_sweep(seed=0, count=200)
+    assert len(records) >= 200
+    assert [r for r in records if r.got != r.expected] == []
     assert time.monotonic() - start < 60.0
     scoreboard("criterion 3 (200-instance oracle equivalence)")
 

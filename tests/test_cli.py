@@ -3,13 +3,17 @@
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from relpoly import cli, fileio, polyhedra
+from relpoly import cli, fileio, polyhedra, selftest
 from relpoly.cli import main
 from relpoly.errors import RelpolyError
 from relpoly.modaction import check_commutators
@@ -515,14 +519,98 @@ def test_deterministic_output(capsys, fig_files):
     assert len(outputs) == 1
 
 
+SELFTEST_STDOUT = """\
+face-dim oracle sweep: 25 instances, 0 failures
+commutators C1 lambda=(1, 0): 2 vectors, 0 failures
+commutators C1 lambda=(2, 0): 3 vectors, 0 failures
+commutators C1 lambda=(2, 1, 0): 8 vectors, 0 failures
+commutators C1 lambda=(1, 1, 0): 3 vectors, 0 failures
+commutators C1 lambda=(2, 1, 1, 0): 15 vectors, 0 failures
+commutators C1 lambda=(3, 2, 1, 0): 64 vectors, 0 failures
+commutators C1 lambda=(4, 3, 2, 1, 0): 1024 vectors, 0 failures
+commutators generic n=3: 4 vectors, 0 failures
+counts C1 lambda=(3, 1, 0): 15 points, Weyl dimension 15
+counts C1 lambda=(4, 2, 1, 0): 140 points, Weyl dimension 140
+counts C1 lambda=(6, 4, 2, 1, 0): 8400 points, Weyl dimension 8400
+counts C1 lambda=(5, 4, 2, 2, 1, 0): 19200 points, Weyl dimension 19200
+counts C1 lambda=(6, 5, 3, 2, 1, 0): 145530 points, Weyl dimension 145530
+selftest: PASS
+"""
+
+
 def test_selftest_smoke(capsys):
-    code, out = run(capsys, "selftest", "--seed", "0", "--count", "25")
-    assert code == 0
-    assert "selftest: PASS" in out
-    assert "counts C1 lambda=(6, 4, 2, 1, 0): 8400 points, Weyl dimension 8400" in out
-    assert "commutators C1 lambda=(4, 3, 2, 1, 0): 1024 vectors, 0 failures" in out
+    assert run(capsys, "selftest", "--seed", "0", "--count", "25") == (0, SELFTEST_STDOUT)
     code2, out2 = run(capsys, "selftest", "--seed", "1", "--count", "25")
     assert code2 == 0
+
+
+def test_selftest_names_each_failure(capsys, monkeypatch):
+    # The oracle's first answer, the pc dimension of the first draw, is one
+    # too high: that record fails, and its line follows the sweep's line.
+    oracle, calls = selftest.face_dim_oracle, []
+
+    def wrong_once(system, X):
+        calls.append(X)
+        return oracle(system, X) + (len(calls) == 1)
+
+    monkeypatch.setattr(selftest, "face_dim_oracle", wrong_once)
+    failure = ("face-dim oracle sweep: 25 instances, 1 failures\n"
+               "  FAIL C2-, n=8, input 0 1 1 0 1 0 0 1 | 0 2 0 1 0 0 1 | 1 2 1 0 0 1 | "
+               "0 1 0 0 1 | 1 2 0 1 | 1 1 1 | 2 1 | 1: expected (19, 11, 4), got (20, 11, 4)\n")
+    want = (SELFTEST_STDOUT.replace("face-dim oracle sweep: 25 instances, 0 failures\n", failure)
+            .replace("selftest: PASS", "selftest: FAIL"))
+    assert run(capsys, "selftest", "--seed", "0", "--count", "25") == (1, want)
+
+
+def test_selftest_commutator_records_name_the_failing_vector():
+    # The non-admissible set of the CI check: [raise2,lower2] fails at every
+    # basis vector, one record per vector.
+    C = fileio.parse_relations("n 3\n2 1 -> 1 1\n1 1 -> 2 2\n3 1 -> 2 1\n2 2 -> 3 2\n")
+    L = Pattern.from_rows([[2, 1, 0], [2, 1], [2]])
+    sample = enumerate_integral(C, L).points
+    records = selftest._commutator_records("notadm", C, L, sample)
+    assert [(r.family, r.n, r.input, r.expected) for r in records] == \
+        [("notadm", 3, str(M), ()) for M in sample]
+    assert [r.got for r in records] == [
+        (("[raise2,lower2]", "(-3/2)*[2 1 0 | 1 1 | 1]"),),
+        (("[raise2,lower2]", "(-1/2)*[2 1 0 | 2 1 | 1]"),),
+        (("[raise2,lower2]", "(-1)*[2 1 0 | 2 1 | 2]"),),
+        (("[raise2,lower2]", "(-3)*[2 1 0 | 2 2 | 2]"),),
+    ]
+
+
+def closed_pipe_run(tmp_path, argv, nbytes):
+    """(exit code, stderr) of `python -m relpoly.cli argv` whose stdout reader
+    reads up to nbytes and then closes the pipe.  stdout is block-buffered,
+    as it is by default on a pipe, so output can wait in the buffer."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-W", "error", "-m", "relpoly.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                            cwd=tmp_path, bufsize=0)
+    if nbytes:
+        assert proc.stdout.read(nbytes)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=60), err
+
+
+def test_closed_pipe_exits_141_without_a_traceback(tmp_path):
+    # 2000 points of the n=7 staircase are about 136 kB, past the 64 kB pipe
+    # buffer, so the reader is gone while enumerate still writes.
+    (tmp_path / "c1n7.rel").write_text(fileio.dump_relations(standard_set(7, 1, "both")))
+    (tmp_path / "staircase.pat").write_text(
+        fileio.dump_pattern(selftest.gt_base((12, 10, 8, 6, 4, 2, 0))))
+    argv = ["enumerate", "--relations", "c1n7.rel", "--pattern", "staircase.pat",
+            "--limit", "2000"]
+    assert closed_pipe_run(tmp_path, argv, 100) == (141, b"")
+
+
+def test_closed_pipe_before_the_selftest_writes(tmp_path):
+    # The selftest writes its lines once every sweep is done; the reader
+    # closes long before, so the write inside main meets the closed pipe.
+    assert closed_pipe_run(tmp_path, ["selftest", "--count", "0"], 0) == (141, b"")
 
 
 PATTERN_TEXT = "2 1 0\n1 0\n0\n"

@@ -37,6 +37,7 @@ from relpoly.relations import (
     connected_components,
     standard_set,
 )
+from relpoly.selftest import gt_base
 
 
 def rows(*data):
@@ -138,9 +139,7 @@ def test_act_in_basis_strict_names_the_first_leak():
 
 def test_check_commutators_small_modules():
     for lam in ((1, 0), (2, 0), (2, 1, 0), (1, 1, 0)):
-        n = len(lam)
-        C = standard_set(n, 1, "both")
-        L = Pattern.from_rows([list(lam[:k]) for k in range(n, 0, -1)])
+        C, L = standard_set(len(lam), 1, "both"), gt_base(lam)
         basis = enumerate_integral(C, L).points
         report = check_commutators(C, L, basis)
         assert report.ok, (lam, report.failures)
@@ -381,9 +380,7 @@ def test_diagonal_cartan_brackets_fail_like_the_reference(monkeypatch):
     monkeypatch.setattr(modaction, "act_cartan", diagonal_cartan(modaction.act_cartan))
     cases = []
     for lam in ((2, 1, 0), (2, 1, 1, 0)):
-        n = len(lam)
-        C = standard_set(n, 1, "both")
-        L = Pattern.from_rows([list(lam[:k]) for k in range(n, 0, -1)])
+        C, L = standard_set(len(lam), 1, "both"), gt_base(lam)
         cases.append((C, L, enumerate_integral(C, L).points))
     C = standard_set(3, 3, "both")
     L = rows((Fraction(1, 2), Fraction(5, 7), Fraction(9, 11)),
@@ -426,9 +423,7 @@ def test_term_side_cartan_brackets_fail_like_the_reference(monkeypatch):
     monkeypatch.setattr(modaction, "act_raise", term_side_raise(modaction.act_raise))
     cases = []
     for lam in ((2, 1, 0), (2, 1, 1, 0), (3, 2, 1, 0)):
-        n = len(lam)
-        C = standard_set(n, 1, "both")
-        L = Pattern.from_rows([list(lam[:k]) for k in range(n, 0, -1)])
+        C, L = standard_set(len(lam), 1, "both"), gt_base(lam)
         cases.append((C, L, enumerate_integral(C, L).points))
     rng = random.Random(20261022)
     for _ in range(60):

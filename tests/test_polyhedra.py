@@ -52,7 +52,7 @@ from relpoly.polyhedra import (
     system_at,
 )
 from relpoly.relations import RelationSet, connected_components, standard_set, vertices
-from relpoly.selftest import FACE_DIM_FAMILIES, FACE_DIM_WIDTHS, random_c_pattern
+from relpoly.selftest import face_dim_sweep, gt_base, random_c_pattern
 from relpoly.tiling import kernel, kernel_dim, min_face_dims, tiling_matrix
 from test_patterns import (
     assert_int_iff_integral,
@@ -66,12 +66,6 @@ from test_patterns import (
 from test_relations import random_relation_set, ref_reach
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "relpoly"
-
-
-def gt_base(lam):
-    """Highest-weight base pattern: row k holds the first k entries of lam."""
-    n = len(lam)
-    return Pattern.from_rows([list(lam[:k]) for k in range(n, 0, -1)])
 
 
 def test_assemble_c1_n2():
@@ -320,7 +314,7 @@ def test_oracle_matches_tile_counts_large(n, k, variant):
         assert dims == min_face_dims(C, X)
 
 
-# sha256 over face_dim_sweep's 2000 draws at seed 0, one line per draw:
+# sha256 over face_dim_sweep's 2000 records at seed 0, one line per record:
 # family, n, the pattern, min_face_dims and the oracle's (pc, lambda, mu).
 # Taken before the oracle pinned the weights by row sums and compared
 # unlabeled entries by offset; the same under PYTHONHASHSEED 0 and 1.
@@ -328,17 +322,9 @@ FACE_DIM_SWEEP_DIGEST = "b0260675a737c3359ae28e8d3db9ab1cfdb714a65d8330bcd52615f
 
 
 def test_face_dim_sweep_digest_is_pinned():
-    # The rng calls of selftest.face_dim_sweep, draw for draw.
-    rng = random.Random(0)
     digest = hashlib.sha256()
-    for _ in range(2000):
-        name, k, variant = FACE_DIM_FAMILIES[rng.randrange(len(FACE_DIM_FAMILIES))]
-        n = rng.randint(2, 12)
-        C = standard_set(n, min(k, n), variant)
-        X = random_c_pattern(rng, C, rng.choice(FACE_DIM_WIDTHS))
-        oracle = tuple(face_dim_oracle(system_at(C, X, which), X)
-                       for which in ("pc", "lambda", "mu"))
-        digest.update(f"{name} {n} {X} {min_face_dims(C, X)} {oracle}\n".encode())
+    for r in face_dim_sweep(0, 2000):
+        digest.update(f"{r.family} {r.n} {r.input} {r.expected} {r.got}\n".encode())
     assert digest.hexdigest() == FACE_DIM_SWEEP_DIGEST
 
 
