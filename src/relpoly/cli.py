@@ -4,10 +4,14 @@ Exit codes: 0 success; 1 domain and internal errors and 2 I/O or parse
 errors, each as error JSON on stdout; 2 also for usage errors such as a
 negative --limit or --count or an --n below 1 (argparse's message on
 stderr); 141 (128 + SIGPIPE), with nothing more written, once stdout's
-reader has closed.
+reader has closed, whether the text is a result or an error JSON.
+
+Each cmd_* function returns (exit code, text) and writes nothing; main is
+the one writer of stdout.
 """
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -71,11 +75,10 @@ def _int_at_least(low):
 
 
 def _emit(obj, fmt):
+    """obj as one line of JSON or as "key: value" lines, in key order."""
     if fmt == "json":
-        print(json.dumps(obj, sort_keys=True))
-    else:
-        for key in sorted(obj):
-            print(f"{key}: {obj[key]}")
+        return json.dumps(obj, sort_keys=True) + "\n"
+    return "".join(f"{key}: {obj[key]}\n" for key in sorted(obj))
 
 
 def cmd_gen(args):
@@ -86,10 +89,8 @@ def cmd_gen(args):
         k = args.k
     C = standard_set(args.n, k, variant)
     if args.format == "json":
-        print(json.dumps(fileio.relations_to_json(C), sort_keys=True))
-    else:
-        sys.stdout.write(fileio.dump_relations(C))
-    return 0
+        return 0, _emit(fileio.relations_to_json(C), "json")
+    return 0, fileio.dump_relations(C)
 
 
 def cmd_check(args, C):
@@ -109,37 +110,28 @@ def cmd_check(args, C):
         out["witness"] = [list(adm.witness[0]), list(adm.witness[1])]
     if adm.reason is not None:
         out["reason"] = adm.reason
-    _emit(out, args.format)
-    return 0
+    return 0, _emit(out, args.format)
 
 
 def cmd_tile(args, C, X):
     tiling = compute_tiling(C, X)
     A = tiling_matrix(C, X, tiling)
     ker = kernel(A)
-    tiles = []
-    for t in tiling.tiles:
-        verts = sorted(t)
-        tiles.append({
-            "vertices": [list(v) for v in verts],
-            "lambda1_free": all(v[0] != C.n for v in t),
-            "lambda2_free": all(v[0] not in (1, C.n) for v in t),
-        })
     out = {
-        "tiles": tiles,
+        "tiles": [{"vertices": [list(v) for v in sorted(t)],
+                   "lambda1_free": all(v[0] != C.n for v in t),
+                   "lambda2_free": all(v[0] not in (1, C.n) for v in t)} for t in tiling.tiles],
         "matrix": [list(row) for row in A.entries],
         # nullspace's zero coordinates are all linalg._ZERO: spell them
         # without a Fraction.__str__ call each.
         "kernel": [["0" if x is _ZERO else str(x) for x in vec] for vec in ker],
     }
-    _emit(out, args.format)
-    return 0
+    return 0, _emit(out, args.format)
 
 
 def cmd_facedim(args, C, X):
     d, s, r = min_face_dims(C, X)
-    _emit({"d": d, "s": s, "r": r}, args.format)
-    return 0
+    return 0, _emit({"d": d, "s": s, "r": r}, args.format)
 
 
 def cmd_enumerate(args, C, L):
@@ -155,8 +147,7 @@ def cmd_enumerate(args, C, L):
         "bounded": report.bounded,
         "unbounded_coordinates": [list(v) for v in report.unbounded_coordinates],
     }
-    _emit(out, args.format)
-    return 0
+    return 0, _emit(out, args.format)
 
 
 def _parse_generator(spec, n):
@@ -182,9 +173,7 @@ def cmd_act(args, C, L):
     gen = _parse_generator(args.generator, C.n)
     text = sys.stdin.read() if args.input == "-" else _read(args.input)
     v = fileio.lincomb_from_json(fileio.load_json(text))
-    result = act_in_basis(C, L, gen, v)
-    print(json.dumps(fileio.lincomb_to_json(result), sort_keys=True))
-    return 0
+    return 0, _emit(fileio.lincomb_to_json(act_in_basis(C, L, gen, v)), "json")
 
 
 def cmd_commutators(args, C, L):
@@ -196,14 +185,13 @@ def cmd_commutators(args, C, L):
         "failures": [[name, str(pattern), residual]
                      for name, pattern, residual in report.failures],
     }
-    _emit(out, args.format)
-    return 0 if report.ok else 1
+    return 0 if report.ok else 1, _emit(out, args.format)
 
 
 def cmd_selftest(args):
     lines, ok = run_selftest(args.seed, args.count)
-    print(*lines, "selftest: PASS" if ok else "selftest: FAIL", sep="\n")
-    return 0 if ok else 1
+    lines.append("selftest: PASS" if ok else "selftest: FAIL")
+    return 0 if ok else 1, "\n".join(lines) + "\n"
 
 
 def build_parser():
@@ -252,20 +240,30 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args, *(_load(kind, getattr(args, kind)) for kind in args.inputs))
-        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
-        return code
+        code, text = args.func(args, *(_load(kind, getattr(args, kind)) for kind in args.inputs))
     except RelpolyError as exc:
-        print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}))
-        return 2 if isinstance(exc, ParseError) else 1
-    except BrokenPipeError:
-        # The reader is gone: send what stdout still buffers to devnull.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        code = 2 if isinstance(exc, ParseError) else 1
+        text = _emit({"error": {"code": exc.code, "message": str(exc)}}, "json")
     except Exception as exc:
         message = f"{type(exc).__name__}: {exc}"
-        print(json.dumps({"error": {"code": "internal", "message": message}}))
-        return 1
+        code, text = 1, _emit({"error": {"code": "internal", "message": message}}, "json")
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
+    try:
+        if isinstance(raw, io.RawIOBase):
+            # Unbuffered (python -u): TextIOWrapper drops the rest of a short
+            # raw write, so a reader gone mid-way would go unnoticed.
+            data = memoryview(text.encode(out.encoding, out.errors))
+            while data:
+                data = data[raw.write(data):]
+        else:
+            out.write(text)
+        out.flush()  # a closed pipe fails here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader is gone: send what stdout still buffers to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -212,9 +212,11 @@ def check_commutators(C, L, sample):
     brackets when every term's weight vector is that of the position moved
     by the bracket's constant.  Only a column that does not gets its n
     cartan residuals, each through bracket and combine like every other
-    bracket; a cartan column off its diagonal raises RuntimeError.  A
-    distant same-type bracket is computed once, at k < l, and
-    [kind_l, kind_k] is reported as its negation.
+    bracket.  A position whose cartan column has a term off its diagonal has
+    no weight vector (None), so every raise or lower column at it, or with a
+    term at it, fails the weight test and gets its residuals.  A distant
+    same-type bracket is computed once, at k < l, and [kind_l, kind_k] is
+    reported as its negation.
     """
     n = L.n
     failures = []
@@ -282,17 +284,15 @@ def check_commutators(C, L, sample):
     def weights(t):
         # The weight vector of position t: w_j for j = 1..n as (den, num),
         # read off the cartan_j column and in lowest terms, so equal vectors
-        # are equal tuples.
-        w = weight_vectors.get(t)
-        if w is None:
+        # are equal tuples.  None when a cartan column has a term off its
+        # diagonal; all n columns are built either way.
+        w = weight_vectors.get(t, False)
+        if w is False:
             w = []
             for j in range(1, n + 1):
                 den, nums = column((CARTAN, j), t)
-                if len(nums) > (t in nums):  # a key other than t
-                    raise RuntimeError(
-                        f"cartan{j} column at [{patterns[t]}] has a term off its diagonal")
-                w.append((den, nums.get(t, 0)))
-            w = weight_vectors[t] = tuple(w)
+                w.append((den, nums.get(t, 0)) if len(nums) == (t in nums) else None)
+            w = weight_vectors[t] = None if None in w else tuple(w)
         return w
 
     def moved(w, k, sign):
@@ -316,13 +316,14 @@ def check_commutators(C, L, sample):
                 failures.append((f"[raise{k},lower{k}]", M, residual(res)))
         # Every cartan bracket with raise_k at pos holds iff each term of the
         # raise_k column moves the weight vector of pos by e_k - e_{k+1}, and
-        # likewise lower_k by e_{k+1} - e_k.  Every term's weights are read,
-        # so a cartan column off its diagonal raises here.
+        # likewise lower_k by e_{k+1} - e_k.  A None weight vector, at pos
+        # or at a term, fails.
         failing = []
         for k in range(1, n):  # weights(pos) read in here: n = 1 has no bracket
+            w = weights(pos)
             for kind, sign in ((RAISE, 1), (LOWER, -1)):
-                want = moved(weights(pos), k, sign)
-                if [t for t in column((kind, k), pos)[1] if weights(t) != want]:
+                want = w and moved(w, k, sign)  # None when w is
+                if want is None or [t for t in column((kind, k), pos)[1] if weights(t) != want]:
                     failing.append((kind, k, sign))
         for j in range(1, n + 1):
             for kind, k, sign in failing:

@@ -579,12 +579,15 @@ def test_selftest_commutator_records_name_the_failing_vector():
     ]
 
 
-def closed_pipe_run(tmp_path, argv, nbytes):
+def closed_pipe_run(tmp_path, argv, nbytes, unbuffered=False):
     """(exit code, stderr) of `python -m relpoly.cli argv` whose stdout reader
     reads up to nbytes and then closes the pipe.  stdout is block-buffered,
-    as it is by default on a pipe, so output can wait in the buffer."""
+    as it is by default on a pipe, so output can wait in the buffer; with
+    unbuffered, PYTHONUNBUFFERED=1 makes its binary layer a raw file."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen([sys.executable, "-W", "error", "-m", "relpoly.cli", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
                             cwd=tmp_path, bufsize=0)
@@ -611,6 +614,70 @@ def test_closed_pipe_before_the_selftest_writes(tmp_path):
     # The selftest writes its lines once every sweep is done; the reader
     # closes long before, so the write inside main meets the closed pipe.
     assert closed_pipe_run(tmp_path, ["selftest", "--count", "0"], 0) == (141, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--relations", "empty.rel", "--pattern", "l.pat"],
+    ["facedim", "--relations", "empty.rel", "--pattern", "missing.pat"],
+], ids=["domain-error", "parse-error"])
+def test_closed_pipe_before_the_error_json(tmp_path, argv, unbuffered):
+    # The empty n=3 set is unbounded, so enumerate ends in a domain error
+    # JSON, and a missing file in a parse error JSON: either meets the
+    # closed pipe in the same write as a result would.
+    (tmp_path / "empty.rel").write_text("n 3\n")
+    (tmp_path / "l.pat").write_text("2 1 0\n1 0\n0\n")
+    assert closed_pipe_run(tmp_path, argv, 0, unbuffered) == (141, b"")
+
+
+def test_closed_pipe_mid_write_when_unbuffered(tmp_path):
+    # The 136 kB of 2000 staircase points go out in one write.  Unbuffered,
+    # the raw write takes what the pipe holds before the reader closes, and
+    # the write of the rest must fail, not vanish with exit 0.
+    (tmp_path / "c1n7.rel").write_text(fileio.dump_relations(standard_set(7, 1, "both")))
+    (tmp_path / "staircase.pat").write_text(
+        fileio.dump_pattern(selftest.gt_base((12, 10, 8, 6, 4, 2, 0))))
+    argv = ["enumerate", "--relations", "c1n7.rel", "--pattern", "staircase.pat",
+            "--limit", "2000"]
+    assert closed_pipe_run(tmp_path, argv, 100, unbuffered=True) == (141, b"")
+
+
+class CountingStdout(io.StringIO):
+    """A stdout that counts its write calls: print makes two, text and end."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_each_request_is_one_write_to_stdout(monkeypatch, tmp_path):
+    (tmp_path / "c1.rel").write_text(fileio.dump_relations(standard_set(3, 1, "both")))
+    (tmp_path / "base.pat").write_text("2 1 0\n2 1\n2\n")
+    (tmp_path / "empty.rel").write_text("n 3\n")
+    (tmp_path / "v.json").write_text(json.dumps(VECTOR))
+    monkeypatch.chdir(tmp_path)
+    both = ["--relations", "c1.rel", "--pattern", "base.pat"]
+    requests = [
+        (["gen", "--family", "C1", "--n", "3"], 0),
+        (["gen", "--family", "C1", "--n", "3", "--format", "text"], 0),
+        (["check", "--relations", "c1.rel"], 0),
+        (["check", "--relations", "c1.rel", "--format", "text"], 0),
+        (["tile", *both], 0),
+        (["facedim", *both], 0),
+        (["enumerate", *both], 0),
+        (["act", *both, "--generator", "E 2 1", "--input", "v.json"], 0),
+        (["commutators", *both], 0),
+        (["selftest", "--count", "0"], 0),
+        (["enumerate", "--relations", "empty.rel", "--pattern", "base.pat"], 1),
+        (["facedim", "--relations", "c1.rel", "--pattern", "missing.pat"], 2),
+    ]
+    for argv, want in requests:
+        out = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert (main(argv), out.writes) == (want, 1), argv
+        assert out.getvalue().endswith("\n"), argv
 
 
 PATTERN_TEXT = "2 1 0\n1 0\n0\n"
