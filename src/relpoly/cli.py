@@ -21,7 +21,7 @@ from . import fileio
 from .errors import ParseError, RelpolyError
 from .linalg import _ZERO
 from .modaction import RAISE, LOWER, CARTAN, act_in_basis, check_commutators
-from .polyhedra import BoundednessReport, _row_map, _walk, first_points, is_polytope
+from .polyhedra import _first_points, _row_map, _row_map_and_missing, _walk
 from .relations import check_admissible, is_reduced, is_top_connected, standard_set
 from .selftest import DEFAULT_COUNT, run_selftest
 from .tiling import compute_tiling, kernel, min_face_dims, tiling_matrix
@@ -135,17 +135,16 @@ def cmd_facedim(args, C, X):
 
 
 def cmd_enumerate(args, C, L):
-    if args.mu is None:
-        # first_points raises Unbounded unless the polyhedron is bounded.
-        report, mu = BoundednessReport(True), None
-    else:
-        report, mu = is_polytope(C), _csv_rationals(args.mu, "--mu")
-    count, points = first_points(C, L, args.limit, mu)
+    mu = None if args.mu is None else _csv_rationals(args.mu, "--mu")
+    # Without --mu an open span raises Unbounded; with it, the same table
+    # says whether the polyhedron is bounded.
+    below, missing = _row_map_and_missing(C, L, mu)
+    count, points = _first_points(L, below, args.limit)
     out = {
         "count": count,
         "points": [fileio.dump_pattern(p).rstrip("\n") for p in points],
-        "bounded": report.bounded,
-        "unbounded_coordinates": [list(v) for v in report.unbounded_coordinates],
+        "bounded": not missing,
+        "unbounded_coordinates": [list(v) for v in missing],
     }
     return 0, _emit(out, args.format)
 

@@ -215,8 +215,9 @@ def check_commutators(C, L, sample):
     bracket.  A position whose cartan column has a term off its diagonal has
     no weight vector (None), so every raise or lower column at it, or with a
     term at it, fails the weight test and gets its residuals.  A distant
-    same-type bracket is computed once, at k < l, and [kind_l, kind_k] is
-    reported as its negation.
+    same-type bracket is computed at both orders, [kind_k, kind_l] and
+    [kind_l, kind_k], each through bracket; by the second every column it
+    reads is built.
     """
     n = L.n
     failures = []
@@ -332,18 +333,11 @@ def check_commutators(C, L, sample):
                               + [(-s, *column((kind, k), pos))])
                 if res[1]:
                     failures.append((f"[cartan{j},{kind}{k}]", M, residual(res)))
-        mirrors = {}
         for k in range(1, n):
             for l in range(1, n):
                 if abs(k - l) >= 2:
                     for kind in (RAISE, LOWER):
-                        if k < l:
-                            res = combine(bracket((kind, k), (kind, l), pos))
-                            # [kind_l, kind_k] e = -[kind_k, kind_l] e, reported
-                            # when the loop reaches (l, k).
-                            mirrors[kind, l, k] = combine([(-1, *res)]) if res[1] else res
-                        else:
-                            res = mirrors.pop((kind, k, l))
+                        res = combine(bracket((kind, k), (kind, l), pos))
                         if res[1]:
                             failures.append((f"[{kind}{k},{kind}{l}]", M, residual(res)))
                 if k != l:

@@ -110,34 +110,6 @@ def _arcs_above(C):
     return arcs
 
 
-def _rows_below(C, fill):
-    """The map (k, row k) -> the rows k-1 compatible with row k, in rising
-    order.  It keeps nothing between calls: _count asks once per distinct
-    row of each level and _walk keeps the children it has asked for, so
-    memory stays with the rows in use, not with the edges of the row DAG.
-
-    A row is the tuple of the floors of its entries' offsets.  Below the top
-    row a point differs from L by integers, and satisfies(C, L) gives the two
-    ends of each arc the same label and fractional part, so these ints fix
-    the point, and an arc holds iff the floor at its source is at least the
-    floor at its target.  No arc joins two entries of a row below the top,
-    so fill(k, los, his) makes the rows k-1 from the bounds that the arcs to
-    row k put on each entry, None where no arc bounds a side.  Arcs between
-    rows k-1 and k-2 are checked when row k-2 is built; arcs inside the top
-    row are the caller's to check.
-    """
-    arcs = _arcs_above(C)
-
-    def below(k, row):
-        los, his = [], []
-        for up_at, low_at in arcs[k]:
-            his.append(min([row[j] for j in up_at], default=None))
-            los.append(max([row[j] for j in low_at], default=None))
-        return fill(k, los, his)
-
-    return below
-
-
 def _top_row(L):
     """L's top row as a row of the row map."""
     return tuple(floor(e.offset) for e in L.row(L.n))
@@ -213,29 +185,6 @@ def _count(L, below):
     return sum(level.values())
 
 
-def _integral_rows(C, L):
-    """The fill of the row map of C's points over L's top row.
-
-    Each vertex below the top row gets its range of floors once, from the
-    floors of the top-row entries that it reaches and that reach it: the arcs
-    of a path keep label and fractional part, so the floors along it fall
-    too."""
-    bounds = _bounds(C, {(C.n, r): y for r, y in enumerate(_top_row(L), 1)})
-    missing = tuple(v for v, b in bounds.items() if None in b)
-    if missing:
-        raise Unbounded(f"no finite enumeration: unbounded at {missing}")
-    spans = {k: [bounds[(k - 1, i)] for i in range(1, k)] for k in range(2, C.n + 1)}
-
-    def fill(k, los, his):
-        return list(product(*(
-            range(a if lo is None or lo < a else lo,
-                  (b if hi is None or hi > b else hi) + 1)
-            for (a, b), lo, hi in zip(spans[k], los, his)
-        )))
-
-    return fill
-
-
 def _cap(bounds, others, target, tighter):
     """Cap each bound at target less the sum of the others' opposite bounds,
     where none of those is open (None)."""
@@ -247,33 +196,73 @@ def _cap(bounds, others, target, tighter):
             bounds[i] = cap if bounds[i] is None else tighter(bounds[i], cap)
 
 
-def _weight_rows(C, L, mu):
-    """The fill of the row map of C's weight slice at mu over L's top row.
+def _row_map_and_missing(C, L, mu=None):
+    """(below, missing): the map (k, row k) -> the rows k-1 compatible with
+    row k, in rising order, of C's points over L's top row (with mu, of its
+    weight slice at mu), and the vertices whose span is open on a side.
 
-    The floors of row m = k-1 sum to its sum in mu less the fractional parts
-    of L's row m, and a sum that is not an integer leaves no rows.  Their
-    intervals are the bounds from the arcs to row k, capped by that sum in
-    two sweeps: each upper bound from the others' lower bounds, then each
-    lower bound from the others' new upper bounds.  More sweeps would only
-    fill a bound whose other bound stays open, and the rows are an exact
-    filter, so neither the rows nor the open coordinates depend on them.
-    Raises UnboundedWeightSlice at the first row reached with one open."""
-    mu = tuple(Fraction(x) for x in mu)
-    if len(mu) != C.n:
-        raise WeightMismatch(f"mu must have length {C.n}")
-    if sum(mu) != row_sum(L, C.n):
-        raise WeightMismatch("sum of mu must equal the top-row sum")
-    for k in range(1, C.n):
-        for e in L.row(k):
-            if not e.is_rational:
-                raise NonRationalWeight("weight slice needs rational lower rows")
-    targets = {}
-    for m in range(1, C.n):
-        target = sum(mu[:m]) - sum(e.offset - floor(e.offset) for e in L.row(m))
-        # Not an int when no row m sums to it.
-        targets[m] = target.numerator if target.denominator == 1 else target
+    A row is the tuple of the floors of its entries' offsets.  Below the top
+    row a point differs from L by integers, and satisfies(C, L) gives the two
+    ends of each arc the same label and fractional part, so these ints fix
+    the point, and an arc holds iff the floor at its source is at least the
+    floor at its target; the floors along a path fall too.  So one bound
+    table, relaxed once from the floors of L's top row, gives each vertex its
+    span: the floors of the top-row entries that it reaches and that reach
+    it.  No arc joins two entries of a row below the top, so below cuts each
+    entry's span by the arcs to row k, and makes the rows k-1 from those
+    intervals.  Arcs between rows k-1 and k-2 are checked when row k-2 is
+    built; arcs inside the top row are the caller's to check.  The map keeps
+    nothing between calls: _count asks once per distinct row of each level
+    and _walk keeps the children it has asked for, so memory stays with the
+    rows in use, not with the edges of the row DAG.
 
-    def fill(k, los, his):
+    Without mu an open span raises Unbounded here, and the rows are the
+    product of the intervals.  With mu the floors of row m = k-1 sum to its
+    sum in mu less the fractional parts of L's row m, and a sum that is not
+    an integer leaves no rows.  Their intervals are capped by that sum in two
+    sweeps: each upper bound from the others' lower bounds, then each lower
+    bound from the others' new upper bounds.  More sweeps would only fill a
+    bound whose other bound stays open, and the rows are an exact filter, so
+    neither the rows nor the open coordinates depend on them.  below raises
+    UnboundedWeightSlice at the first row reached with a bound still open."""
+    if not satisfies(C, L):
+        raise NotSatisfying("base pattern does not satisfy the relation set")
+    if mu is not None:
+        mu = tuple(Fraction(x) for x in mu)
+        if len(mu) != C.n:
+            raise WeightMismatch(f"mu must have length {C.n}")
+        if sum(mu) != row_sum(L, C.n):
+            raise WeightMismatch("sum of mu must equal the top-row sum")
+        for k in range(1, C.n):
+            for e in L.row(k):
+                if not e.is_rational:
+                    raise NonRationalWeight("weight slice needs rational lower rows")
+        targets = {}
+        for m in range(1, C.n):
+            target = sum(mu[:m]) - sum(e.offset - floor(e.offset) for e in L.row(m))
+            # Not an int when no row m sums to it.
+            targets[m] = target.numerator if target.denominator == 1 else target
+    bounds = _bounds(C, {(C.n, r): y for r, y in enumerate(_top_row(L), 1)})
+    missing = tuple(v for v, b in bounds.items() if None in b)
+    if missing and mu is None:
+        raise Unbounded(f"no finite enumeration: unbounded at {missing}")
+    cuts = {k: [(bounds[(k - 1, i + 1)], up_at, low_at)
+                for i, (up_at, low_at) in enumerate(arcs)]
+            for k, arcs in _arcs_above(C).items()}
+
+    def below(k, row):
+        los, his = [], []
+        for (lo, hi), up_at, low_at in cuts[k]:
+            for j in up_at:
+                if hi is None or row[j] < hi:
+                    hi = row[j]
+            for j in low_at:
+                if lo is None or row[j] > lo:
+                    lo = row[j]
+            los.append(lo)
+            his.append(hi)
+        if mu is None:
+            return list(product(*map(range, los, [hi + 1 for hi in his])))
         m = k - 1
         target = targets[m]
         _cap(his, los, target, min)
@@ -293,16 +282,13 @@ def _weight_rows(C, L, mu):
                 rows.append(head + (y,))
         return rows
 
-    return fill
+    return below, missing
 
 
 def _row_map(C, L, mu=None):
     """Check that C and L (with mu, its weight slice) enumerate, and return
     the row map of their points."""
-    if not satisfies(C, L):
-        raise NotSatisfying("base pattern does not satisfy the relation set")
-    fill = _integral_rows(C, L) if mu is None else _weight_rows(C, L, mu)
-    return _rows_below(C, fill)
+    return _row_map_and_missing(C, L, mu)[0]
 
 
 def enumerate_integral(C, L):
@@ -327,6 +313,14 @@ def count_integral_weight(C, L, mu):
     return _count(L, _row_map(C, L, mu))
 
 
+def _first_points(L, below, limit):
+    """first_points over the row map below."""
+    points = tuple(islice(_walk(L, below), limit))
+    if limit is None or len(points) < limit:
+        return len(points), points
+    return _count(L, below), points
+
+
 def first_points(C, L, limit, mu=None):
     """(count, points): the number of points that enumerate_integral(C, L)
     lists, or with mu enumerate_integral_weight(C, L, mu), and the first
@@ -337,14 +331,11 @@ def first_points(C, L, limit, mu=None):
     it does a second pass count the paths through the same row map.  The
     map keeps no rows, and no point after the limit is built, so a small
     limit takes memory for the rows of a level or two, not for the points or
-    the edges between rows.  An open weight slice raises the same
-    UnboundedWeightSlice either way: whether a bound is open depends on the
-    level alone, and both passes reach the levels from the top down."""
-    below = _row_map(C, L, mu)
-    points = tuple(islice(_walk(L, below), limit))
-    if limit is None or len(points) < limit:
-        return len(points), points
-    return _count(L, below), points
+    the edges between rows.  A weight slice whose bound stays open after the
+    spans and the caps raises the same UnboundedWeightSlice either way:
+    whether a bound is open depends on the level alone, and both passes
+    reach the levels from the top down."""
+    return _first_points(L, _row_map(C, L, mu), limit)
 
 
 def face_dim_oracle(system, X):

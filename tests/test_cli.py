@@ -342,6 +342,19 @@ def test_enumerate_relaxes_the_arcs_once(capsys, tmp_path, monkeypatch, family, 
     assert len(calls) == 1
 
 
+def test_enumerate_mu_reads_spans_through_lower_rows(capsys, tmp_path):
+    # The lower bound of x_21 comes only through row 1 (x_21 >= x_11 >=
+    # x_22 >= x_33): one point of weight (1,3,2), not an open slice.
+    rel, pat = tmp_path / "c.rel", tmp_path / "l.pat"
+    rel.write_text("n 3\n1 1 -> 2 2\n2 1 -> 1 1\n2 2 -> 3 3\n3 1 -> 2 1\n")
+    pat.write_text("3 3 0\n0 0\n0\n")
+    code, out = run(capsys, "enumerate", "--relations", str(rel), "--pattern", str(pat),
+                    "--mu", "1,3,2")
+    assert code == 0
+    assert json.loads(out) == {"count": 1, "points": ["3 3 0\n3 1\n1"], "bounded": True,
+                               "unbounded_coordinates": []}
+
+
 def gt_rows_text(lam, entry=str):
     """The highest-weight base of lam as pattern text, each value v written
     as entry(v)."""

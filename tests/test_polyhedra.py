@@ -26,6 +26,7 @@ from relpoly.errors import (
     UnboundedWeightSlice,
     WeightMismatch,
 )
+from relpoly.fileio import parse_pattern, parse_relations
 from relpoly.linalg import rref
 from relpoly.modaction import weyl_dim
 from relpoly.patterns import (
@@ -570,7 +571,8 @@ def reference_enumerate_integral(C, L):
 
 def reference_enumerate_integral_weight(C, L, mu):
     """Backtracking over the vertices of each row, with the row sums pinned
-    and per-row intervals from the assigned rows."""
+    and per-row intervals from the top-row certificates and the assigned
+    rows."""
     if not satisfies(C, L):
         raise NotSatisfying("base pattern does not satisfy the relation set")
     mu = tuple(Fraction(x) for x in mu)
@@ -583,15 +585,19 @@ def reference_enumerate_integral_weight(C, L, mu):
             if not e.is_rational:
                 raise NonRationalWeight("weight slice needs rational lower rows")
     uppers, lowers = reference_bounds(C)
+    ubs, lbs, _ = reference_certificates(C)
     partial = {(C.n, r): L[(C.n, r)] for r in range(1, C.n + 1)}
     results = []
 
     def row_intervals(k, assigned):
+        # Each interval starts from the top-row entries that the vertex
+        # reaches and that reach it, then the arcs to assigned entries cut it.
         target = sum(mu[:k])
         los, his = {}, {}
         for i in range(1, k + 1):
             v = (k, i)
-            lo, hi = None, None
+            lo = max((partial[(C.n, r)].value_bounds()[0] for r in lbs[v]), default=None)
+            hi = min((partial[(C.n, r)].value_bounds()[1] for r in ubs[v]), default=None)
             for u in uppers[v]:
                 if u in assigned and assigned[u].is_rational:
                     val = assigned[u].offset
@@ -859,14 +865,16 @@ def test_row_map_memory_stays_with_the_rows_in_use():
 
 
 def open_entry_case(rng):
-    """C1 "both" at n = 4 or 5 without the lower arc of one entry i >= 2 of
-    a row m >= 3 and the upper arc of another, and now and then without
-    another arc: two bounds of row m stay open on opposite sides, so the
-    weight slice is unbounded at an entry past the first."""
+    """C1 "both" at n = 4 or 5 without both lower arcs of one entry i >= 2
+    of a row m >= 3 and both upper arcs of another, and now and then without
+    another arc: two bounds of row m stay open on opposite sides (one arc
+    dropped per side leaves a path through row m - 1 that bounds it), so
+    the weight slice is unbounded at an entry past the first."""
     n = rng.choice((4, 5))
     m = rng.randint(3, n - 1)
     a, b = rng.sample(range(2, m + 1), 2)
-    dropped = {((m, a), (m + 1, a + 1)), ((m + 1, b), (m, b))}
+    dropped = {((m, a), (m + 1, a + 1)), ((m, a), (m - 1, a)),
+               ((m + 1, b), (m, b)), ((m - 1, b - 1), (m, b))}
     C = RelationSet(n, [arc for arc in standard_set(n, 1, "both")
                         if arc not in dropped and rng.random() >= 0.05])
     return C, random_base(rng, C, 2)
@@ -998,6 +1006,50 @@ def test_first_points_open_weight_slice_raises_as_the_count_does():
         with pytest.raises(UnboundedWeightSlice) as got:
             first_points(C, L, limit, mu)
         assert str(got.value) == str(want.value), limit
+
+
+def test_weight_slice_reads_spans_through_lower_rows():
+    # x_21 >= x_11 >= x_22 >= x_33: the lower bound of x_21 comes only
+    # through row 1, so the slice needs x_21's span as well as the arcs to
+    # row 3.
+    C = parse_relations("n 3\n1 1 -> 2 2\n2 1 -> 1 1\n2 2 -> 3 3\n3 1 -> 2 1\n")
+    L, mu = parse_pattern("3 3 0\n0 0\n0\n"), (1, 3, 2)
+    assert [str(P) for P in enumerate_integral_weight(C, L, mu).points] == \
+        ["3 3 0 | 3 1 | 1"]
+    assert count_integral_weight(C, L, mu) == 1
+
+
+def bounded_recipe_sets(seed=7, draws=2000):
+    """Bounded relation sets with a base: C1 "both" with each arc dropped at
+    probability 1/4, plus up to n random arcs between adjacent rows, at
+    n = 3..5, each set over a random C-pattern."""
+    rng = random.Random(seed)
+    for _ in range(draws):
+        n = rng.randint(3, 5)
+        arcs = [arc for arc in standard_set(n, 1, "both") if rng.random() >= 0.25]
+        for _ in range(rng.randint(0, n)):
+            k = rng.randint(2, n)
+            up, low = (k, rng.randint(1, k)), (k - 1, rng.randint(1, k - 1))
+            arcs.append((up, low) if rng.random() < 0.5 else (low, up))
+        C = RelationSet(n, arcs)
+        if is_polytope(C).bounded:
+            yield C, random_c_pattern(rng, C, 3)
+
+
+def test_weight_slices_of_bounded_sets_partition_the_points():
+    sets = slices = 0
+    for C, L in bounded_recipe_sets():
+        by_weight = {}
+        for P in enumerate_integral(C, L).points:
+            by_weight.setdefault(weight_vector(P), []).append(P)
+        for mu, want in by_weight.items():
+            got = enumerate_integral_weight(C, L, mu).points
+            assert list(got) == want, (C, str(L), mu)
+            assert count_integral_weight(C, L, mu) == len(want)
+            assert first_points(C, L, 2, mu) == (len(want), tuple(want[:2]))
+        sets += 1
+        slices += len(by_weight)
+    assert sets >= 300 and slices >= 1500, (sets, slices)
 
 
 def test_enumerate_integral_n46_constant_pattern():
