@@ -9,7 +9,9 @@ gcd of the entries), which leaves no remainder.  This is fraction-free
 elimination (see E. H. Bareiss, Math. Comp. 22, 1968), and rows stay short
 when the input is sparse.  When the two leading entries agree up to sign,
 the common case on 0/+-1 rows, the step is a plain subtraction of rows, with
-no gcd.  The rank is the pivot count of this forward pass.
+no gcd.  The rank is the pivot count of this forward pass, `_echelon`, the
+one rank function: the face-dimension oracle hands it the rows it builds,
+and `sparse_rank` hands it copies of the caller's rows.
 Back-substitution, for `rref` and `nullspace` only, runs on the same integer
 rows (`_reduced`).
 
@@ -74,7 +76,8 @@ def _eliminate(row, col, pivot_row):
 def _echelon(rows):
     """Echelon basis of the row space: {leading column: int row}.
 
-    The rows are sparse int rows, which it reduces in place.
+    The rows are sparse int rows, which it reduces in place.  Their order
+    leaves the rank as it is, but sets how long the pivot chains get.
     """
     basis = {}
     pivot_of = basis.get

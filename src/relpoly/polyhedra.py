@@ -6,11 +6,14 @@ the nullity of the matrix stacking all equality rows and the inequality rows
 tight at the point, by exact fraction-free elimination of its 0/+-1 integer
 rows, built sparse as {column: +-1}.  It pins the weights by the row sums
 R_k = w_1 + ... + w_k, k entries of +1 each, which span the same rows as the
-pins w_k = R_k - R_{k-1}.  An inequality whose two entries are unlabeled is
+pins w_k = R_k - R_{k-1}.  A pinned top row adds n to the rank and its
+columns are substituted out of the other rows, and the rows reach the one
+forward pass, linalg._echelon, from the top row down, which keeps its pivot
+chains short.  An inequality whose two entries are unlabeled is
 tested on their exact offsets with == and <; labeled pairs go through Entry
 equality and cmp_entries.  It is the independent check for the
 tile-counting formulas, and shares none of their code: its tight-arc loop is
-its own, not patterns.tight_arcs.
+its own, not patterns.tight_arcs, and it reads no union-find.
 """
 
 from dataclasses import dataclass
@@ -343,7 +346,16 @@ def face_dim_oracle(system, X):
 
     Stacks every equality row and every inequality row tight at X, and
     returns the nullity of the stack.  Raises Infeasible when X violates the
-    system.
+    system, at the first violation in the order pins, weights, inequalities,
+    nonnegativity.
+
+    With the top row pinned, its n unit rows give n to the rank, and their
+    columns, the first n, are substituted out of every other row: a row
+    left empty (R_n, a tight arc between two top entries, a nonneg row on
+    the top row) is dropped, and an arc from the top row keeps its one
+    other entry.  The rows go to the forward pass from the top row down,
+    the built list reversed, since the relations are sorted by source; the
+    rank does not depend on the order, but the pivot chains do.
     """
     n = system.n
     if X.n != n:
@@ -351,18 +363,30 @@ def face_dim_oracle(system, X):
     ncols = n * (n + 1) // 2
     rows = []
     ents, starts = X.entries, row_starts(n)
+    # The columns below `pinned` are substituted out: the top row is
+    # columns 0..n-1.
+    pinned = 0
     if system.eq_top is not None:
         for r in range(1, n + 1):
             if ents[starts[n] + r] != system.eq_top[r - 1]:
                 raise Infeasible(f"top-row pin violated at column {r}")
-            rows.append({starts[n] + r: 1})
+        pinned = n
     if system.eq_weights is not None:
         if weight_vector(X) != system.eq_weights:
             raise Infeasible("weight pins violated")
         # R_k = w_1 + ... + w_k: a unitriangular change of basis of the pins
-        # w_k, so the rank is the same, from shorter rows.
-        for k in range(1, n + 1):
+        # w_k, so the rank is the same, from shorter rows.  R_n lies in the
+        # top row, so none is left of it when the top row is pinned.
+        for k in range(1, n if pinned else n + 1):
             rows.append(dict.fromkeys(range(starts[k] + 1, starts[k] + k + 1), 1))
+
+    def tie(a, b):
+        """Stack the row of a tight arc from column a to column b."""
+        if a >= pinned:
+            rows.append({a: 1, b: -1} if b >= pinned else {a: 1})
+        elif b >= pinned:
+            rows.append({b: -1})
+
     zero = Entry.rational(0)
     for src, dst in system.inequalities:
         a, b = starts[src[0]] + src[1], starts[dst[0]] + dst[1]
@@ -371,17 +395,19 @@ def face_dim_oracle(system, X):
             # Offsets are exact, an int iff integral: compare them directly.
             p, q = ea.offset, eb.offset
             if p == q:
-                rows.append({a: 1, b: -1})
+                tie(a, b)
             elif p < q:
                 raise Infeasible(f"inequality {src} >= {dst} violated")
         elif ea == eb:
-            rows.append({a: 1, b: -1})
+            tie(a, b)
         elif cmp_entries(ea, eb) < 0:
             raise Infeasible(f"inequality {src} >= {dst} violated")
     for v in system.nonneg:
         a = starts[v[0]] + v[1]
         if ents[a] == zero:
-            rows.append({a: 1})
+            if a >= pinned:
+                rows.append({a: 1})
         elif cmp_entries(ents[a], zero) < 0:
             raise Infeasible(f"nonnegativity violated at {v}")
-    return ncols - linalg.sparse_rank(rows)
+    rows.reverse()
+    return ncols - pinned - len(linalg._echelon(rows))

@@ -125,37 +125,42 @@ def reaches(C, a, b):
     return b in C.reach[a]
 
 
+def _union_find_roots(n, edges):
+    """The root of every vertex index under the given edges of the triangle
+    of height n: a list whose entry v is the root of index v.
+
+    Vertex (k, i) has index k(k-1)/2 + i - 1, its place in vertices(n), so
+    index order is vertex order and the last n indices are the top row.
+    Union by least root, so that every root is the least index of its
+    block and every parent is at most its child.  One sweep over the
+    indices in order then sets each parent to its root: a parent less than
+    v has already been set to its own root."""
+    parent = list(range(n * (n + 1) // 2))
+    for (k, i), (j, m) in edges:
+        a, b = k * (k - 1) // 2 + i - 1, j * (j - 1) // 2 + m - 1
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    for v, p in enumerate(parent):
+        parent[v] = parent[p]
+    return parent
+
+
 def _union_find_blocks(n, edges):
     """Undirected components of the triangle of height n under the given
     edges, as frozensets sorted by their least member.
 
-    Union by least root, so that every root is the least vertex of its
-    block.  One sweep over the sorted vertices then meets each block first
-    at its root, and finds the root of any other vertex v one step from its
-    parent: that parent is less than v, so the sweep has already set its
-    own parent to the root."""
-    verts = vertices(n)
-    parent = {v: v for v in verts}
-
-    def root(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in edges:
-        ra, rb = root(a), root(b)
-        if ra < rb:
-            parent[rb] = ra
-        elif rb < ra:
-            parent[ra] = rb
+    Built from the root table of _union_find_roots: a root is the least
+    index of its block, so one sweep over the indices meets each block
+    first at its root."""
     blocks = {}
-    for v in verts:
-        r = parent[v] = parent[parent[v]]
-        if r == v:
-            blocks[v] = [v]
-        else:
-            blocks[r].append(v)
+    for v, r in zip(vertices(n), _union_find_roots(n, edges)):
+        blocks.setdefault(r, []).append(v)
     return tuple(map(frozenset, blocks.values()))
 
 

@@ -19,7 +19,12 @@ from .patterns import (
     separation,
     tight_arcs,
 )
-from .relations import _union_find_blocks, is_top_connected, support
+from .relations import (
+    _union_find_blocks,
+    _union_find_roots,
+    is_top_connected,
+    support,
+)
 
 
 @dataclass(frozen=True)
@@ -49,19 +54,15 @@ def _require_c_pattern(C, X):
     return tight
 
 
-def _tiling(n, tight):
-    """The tiling whose tiles the tight relations join; canonical tile order.
+def compute_tiling(C, X):
+    """Partition the triangle by equal-entry walks; canonical tile order.
     Vertices sort by row, so a tile meets the top row iff its largest vertex
     lies there."""
+    n = C.n
     free, rest = [], []
-    for t in _union_find_blocks(n, tight):
+    for t in _union_find_blocks(n, _require_c_pattern(C, X)):
         (rest if max(t)[0] == n else free).append(t)
     return Tiling(n, tuple(free + rest), len(free))
-
-
-def compute_tiling(C, X):
-    """Partition the triangle by equal-entry walks; canonical tile order."""
-    return _tiling(C.n, _require_c_pattern(C, X))
 
 
 def lambda_free(tiling, lam):
@@ -104,15 +105,35 @@ def kernel_dim(A):
     return _width(A) - linalg.sparse_rank(rows)
 
 
+def _face_dims(n, tight):
+    """(d, s, r) off the root table of the tight relations, with no tile,
+    tiling matrix or frozenset: d roots, s of them free (their blocks hold
+    no index of the top row, the last n), and r is s less the rank of the
+    rows k = 1..n-1, each counting its vertices per free root.  That is the
+    tiling matrix up to the order of its columns, which leaves the rank."""
+    roots = _union_find_roots(n, tight)
+    top = set(roots[len(roots) - n:])
+    d = len(set(roots))
+    rows = []
+    for k in range(1, n):
+        row = {}
+        for r in roots[k * (k - 1) // 2:k * (k + 1) // 2]:
+            if r not in top:
+                row[r] = row.get(r, 0) + 1
+        rows.append(row)
+    s = d - len(top)
+    return d, s, s - linalg.sparse_rank(rows)
+
+
 def min_face_dims(C, X):
     """(d, s, r): tiles, top-row-avoiding tiles, and kernel dimension.
 
     These are the minimal-face dimensions of the unconstrained, top-row-pinned
-    and weight-pinned polyhedra at X.
+    and weight-pinned polyhedra at X.  They are counted off the root table of
+    the one union-find, equal to len(T.tiles), T.free_count and
+    kernel_dim(tiling_matrix(C, X, T)) for T = compute_tiling(C, X).
     """
-    tiling = compute_tiling(C, X)
-    A = tiling_matrix(C, X, tiling)
-    return len(tiling.tiles), tiling.free_count, kernel_dim(A)
+    return _face_dims(C.n, _require_c_pattern(C, X))
 
 
 def min_face_dims_plus(C, X):
@@ -126,11 +147,10 @@ def min_face_dims_plus(C, X):
             raise NegativeEntryOnSupport(f"entry at {v} is negative")
     if not is_top_connected(C):
         return Inapplicable("not top-connected")
-    tiling = _tiling(C.n, tight)
-    if tiling.free_count == 0:
+    _, s, r = _face_dims(C.n, tight)
+    if s == 0:
         return Inapplicable("no lambda1-free tile")
-    A = tiling_matrix(C, X, tiling)
-    return tiling.free_count, kernel_dim(A)
+    return s, r
 
 
 def _min_gap(X):

@@ -15,11 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from relpoly import polyhedra
+from relpoly import linalg, polyhedra
 from relpoly.errors import (
     IncomparableEntries,
     Infeasible,
+    NegativeEntryOnSupport,
     NonRationalWeight,
+    NotACPattern,
     NotSatisfying,
     RelpolyError,
     Unbounded,
@@ -32,6 +34,7 @@ from relpoly.modaction import weyl_dim
 from relpoly.patterns import (
     Entry,
     Pattern,
+    cmp_entries,
     constant_pattern,
     coord_index,
     row_sum,
@@ -52,9 +55,24 @@ from relpoly.polyhedra import (
     is_polytope,
     system_at,
 )
-from relpoly.relations import RelationSet, connected_components, standard_set, vertices
+from relpoly.relations import (
+    RelationSet,
+    connected_components,
+    is_top_connected,
+    standard_set,
+    support,
+    vertices,
+)
 from relpoly.selftest import face_dim_sweep, gt_base, random_c_pattern
-from relpoly.tiling import kernel, kernel_dim, min_face_dims, tiling_matrix
+from relpoly.tiling import (
+    Inapplicable,
+    compute_tiling,
+    kernel,
+    kernel_dim,
+    min_face_dims,
+    min_face_dims_plus,
+    tiling_matrix,
+)
 from test_patterns import (
     assert_int_iff_integral,
     entry_key,
@@ -301,6 +319,25 @@ def test_oracle_constant_pattern_n30():
     assert dims == min_face_dims(C, X) == (1, 0, 0)
 
 
+def test_mu_oracle_steps_at_n30(monkeypatch):
+    """The work of the "mu" oracle on C1 both at the constant pattern, n=30,
+    as a count of elimination steps: with the top row's rows stacked first,
+    pivot chains stay short (12031 steps when the bottom rows came first)."""
+    C = standard_set(30, 1, "both")
+    X = constant_pattern(30, 3)
+    system = system_at(C, X, "mu")
+    steps = Counter()
+    eliminate = linalg._eliminate
+
+    def counted(row, col, pivot_row):
+        steps["eliminate"] += 1
+        eliminate(row, col, pivot_row)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    assert face_dim_oracle(system, X) == 0
+    assert 0 < steps["eliminate"] < 3000, steps
+
+
 @pytest.mark.parametrize("k, variant", [(1, "both"), (2, "both"), (1, "plus")])
 @pytest.mark.parametrize("n", [14, 16])
 def test_oracle_matches_tile_counts_large(n, k, variant):
@@ -454,6 +491,66 @@ def test_kernel_dim_on_random_relation_sets():
         assert kernel_dim(A) == len(kernel(A)), (C, X)
 
 
+def labeled_set_cases(count=600, seed=20261022):
+    """(C, X, Y): the labeled C-pattern X and its varied copy Y of each draw
+    of test_oracle_on_labeled_patterns, from the same random stream."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        C = random_relation_set(rng)
+        X = labeled_c_pattern(rng, C, rng.choice((2, 3, 4)))
+        ents = list(X.entries)
+        for _ in range(rng.randint(1, 3)):
+            ents[rng.randrange(len(ents))] = varied_entry(rng)
+        yield C, X, Pattern(C.n, tuple(ents))
+
+
+def tile_route_dims(C, X):
+    """min_face_dims through the Tiling and its TilingMatrix."""
+    T = compute_tiling(C, X)
+    return len(T.tiles), T.free_count, kernel_dim(tiling_matrix(C, X, T))
+
+
+def tile_route_dims_plus(C, X):
+    """min_face_dims_plus through the Tiling and its TilingMatrix, after the
+    same checks in the same order."""
+    T = compute_tiling(C, X)
+    zero = Entry.rational(0)
+    for v in sorted(support(C)):
+        if X[v] != zero and cmp_entries(X[v], zero) < 0:
+            raise NegativeEntryOnSupport(f"entry at {v} is negative")
+    if not is_top_connected(C):
+        return Inapplicable("not top-connected")
+    if T.free_count == 0:
+        return Inapplicable("no lambda1-free tile")
+    return T.free_count, kernel_dim(tiling_matrix(C, X, T))
+
+
+def outcome_kind(got):
+    """The error type of an outcome_of result, or the type of its value."""
+    return got[0] if isinstance(got[0], type) else type(got)
+
+
+def test_min_face_dims_match_the_tile_route():
+    """The counts off the root table equal those of the tiles and the tiling
+    matrix, value for value, or error type and message for message."""
+    outcomes = Counter()
+    for C, X, Y in chain(random_set_cases(), labeled_set_cases()):
+        for P in (X, Y):
+            got = outcome_of(min_face_dims, C, P)
+            assert got == outcome_of(tile_route_dims, C, P), (C, P)
+            plus = outcome_of(min_face_dims_plus, C, P)
+            assert plus == outcome_of(tile_route_dims_plus, C, P), (C, P)
+            outcomes["dims", outcome_kind(got)] += 1
+            outcomes["plus", plus.reason if isinstance(plus, Inapplicable)
+                     else outcome_kind(plus)] += 1
+    assert set(outcomes) == {
+        ("dims", tuple), ("dims", NotACPattern), ("dims", IncomparableEntries),
+        ("plus", tuple), ("plus", NotACPattern), ("plus", IncomparableEntries),
+        ("plus", NegativeEntryOnSupport), ("plus", "not top-connected"),
+        ("plus", "no lambda1-free tile")}, outcomes
+    assert min(outcomes.values()) >= 20, outcomes
+
+
 def test_oracle_imports_nothing_from_tiling():
     """The oracle checks the tile counts, so it must not borrow the tile code,
     nor the tight-arc pass and union-find that the tiles are built from: a
@@ -462,7 +559,8 @@ def test_oracle_imports_nothing_from_tiling():
     tiling_names = {node.name for node in tiling.body
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert {"compute_tiling", "kernel_dim", "min_face_dims"} <= tiling_names
-    tile_side = {"tight_arcs", "is_c_pattern", "_union_find_blocks"}
+    tile_side = {"tight_arcs", "is_c_pattern", "_union_find_blocks",
+                 "_union_find_roots"}
     tiling_names |= tile_side
     for module in ("polyhedra.py", "linalg.py"):
         for node in ast.walk(ast.parse((SRC / module).read_text())):
