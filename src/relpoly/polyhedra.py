@@ -16,6 +16,7 @@ tile-counting formulas, and shares none of their code: its tight-arc loop is
 its own, not patterns.tight_arcs, and it reads no union-find.
 """
 
+import gc
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
@@ -176,6 +177,28 @@ def _walk(L, below):
             yield P
 
 
+def _points(L, below, limit=None):
+    """The first limit points of _walk(L, below) (all with limit None), as a
+    tuple, built with the cyclic garbage collector paused.
+
+    Each point is two tracked objects, the Pattern and its entries tuple,
+    that outlive the call, so a collection during the walk traverses them
+    again and can free none of them.  The pause is sound because the walk
+    makes no reference cycles: a Pattern refers to its tuple of Entries, an
+    Entry to ints, Fractions and its label, and the walk's caches and
+    closures refer only down to those, so nothing it drops waits for the
+    collector.  The pause is process-wide; relpoly starts no threads.  The
+    caller's gc.isenabled() state is restored on every exit, an exception
+    out of below included."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return tuple(islice(_walk(L, below), limit))
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _count(L, below):
     """Number of paths through the rows, counted level by level."""
     level = {_top_row(L): 1}
@@ -297,12 +320,12 @@ def _row_map(C, L, mu=None):
 def enumerate_integral(C, L):
     """All points of the top-row slice differing from L by integers below the
     top row, in deterministic lexicographic order."""
-    return IntegralPointSet(L, tuple(_walk(L, _row_map(C, L))))
+    return IntegralPointSet(L, _points(L, _row_map(C, L)))
 
 
 def enumerate_integral_weight(C, L, mu):
     """Points of the weight slice: row sums pinned, enumerated row by row."""
-    return IntegralPointSet(L, tuple(_walk(L, _row_map(C, L, mu))))
+    return IntegralPointSet(L, _points(L, _row_map(C, L, mu)))
 
 
 def count_integral(C, L):
@@ -318,7 +341,7 @@ def count_integral_weight(C, L, mu):
 
 def _first_points(L, below, limit):
     """first_points over the row map below."""
-    points = tuple(islice(_walk(L, below), limit))
+    points = _points(L, below, limit)
     if limit is None or len(points) < limit:
         return len(points), points
     return _count(L, below), points

@@ -1,6 +1,7 @@
 """Constraint systems, boundedness, integral-point enumeration, rank oracle."""
 
 import ast
+import gc
 import hashlib
 import pickle
 import random
@@ -263,6 +264,68 @@ def test_enumerate_weight_empty_slice_ok():
     C = standard_set(2, 1, "both")
     pts = enumerate_integral_weight(C, gt_base((1, 0)), [-1, 2]).points
     assert pts == ()
+
+
+# The eager enumerators over C1 at lambda=(3,2,1,0) and its base's weight.
+EAGER_CALLS = {
+    "enumerate_integral": lambda C, L, mu: enumerate_integral(C, L),
+    "enumerate_integral_weight": lambda C, L, mu: enumerate_integral_weight(C, L, mu),
+    "first_points": lambda C, L, mu: first_points(C, L, None),
+    "first_points limit": lambda C, L, mu: first_points(C, L, 3),
+    "first_points mu": lambda C, L, mu: first_points(C, L, None, mu),
+    "first_points mu limit": lambda C, L, mu: first_points(C, L, 1, mu),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("name", sorted(EAGER_CALLS))
+def test_eager_enumeration_keeps_gc_state(name, enabled):
+    C, L = standard_set(4, 1, "both"), gt_base((3, 2, 1, 0))
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        EAGER_CALLS[name](C, L, weight_vector(L))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+@pytest.mark.parametrize("call", [
+    enumerate_integral_weight,
+    lambda C, L, mu: first_points(C, L, None, mu),
+], ids=["enumerate_integral_weight", "first_points"])
+def test_gc_restored_when_below_raises_in_walk(call):
+    # No relation bounds any entry below the top row, so the first row map
+    # call, from inside the walk, raises.
+    C, L = RelationSet(3, []), Pattern.from_rows([[2, 1, 0], [1, 0], [0]])
+    assert gc.isenabled()
+    with pytest.raises(UnboundedWeightSlice) as raised:
+        call(C, L, (0, 1, 2))
+    assert {"_walk", "below"} <= {entry.name for entry in raised.traceback}
+    assert gc.isenabled()
+
+
+def test_enumeration_runs_without_collections():
+    # The 8400 points of C1 at lambda=(6,4,2,1,0) trip the young generation
+    # dozens of times unless the collector is paused; with it paused, only
+    # the one pass that follows the walk is left.
+    C, L = standard_set(5, 1, "both"), gt_base((6, 4, 2, 1, 0))
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(hook)
+    try:
+        points = enumerate_integral(C, L).points
+    finally:
+        gc.callbacks.remove(hook)
+    assert len(points) == 8400
+    assert len(starts) <= 1, starts
+    # The pause is sound only while the walk leaves no cycles behind.
+    assert gc.collect() == 0
 
 
 def test_face_dim_oracle_no_constraints():
