@@ -118,9 +118,11 @@ def cmd_tile(args, C, X):
     A = tiling_matrix(C, X, tiling)
     ker = kernel(A)
     out = {
+        # Tiling puts its free_count lambda1-free tiles first.
         "tiles": [{"vertices": [list(v) for v in sorted(t)],
-                   "lambda1_free": all(v[0] != C.n for v in t),
-                   "lambda2_free": all(v[0] not in (1, C.n) for v in t)} for t in tiling.tiles],
+                   "lambda1_free": i < tiling.free_count,
+                   "lambda2_free": all(v[0] not in (1, C.n) for v in t)}
+                  for i, t in enumerate(tiling.tiles)],
         "matrix": [list(row) for row in A.entries],
         # nullspace's zero coordinates are all linalg._ZERO: spell them
         # without a Fraction.__str__ call each.

@@ -82,7 +82,10 @@ def parse_relations(text):
         m = _RELATION_RE.match(line)
         if not m:
             raise ParseError(f"line {lineno}: expected 'i j -> r s'")
-        i, j, r, s = (int(x) for x in m.groups())
+        try:
+            i, j, r, s = map(int, m.groups())
+        except ValueError:  # more digits than int converts
+            raise ParseError(f"line {lineno}: coordinate too long") from None
         rels.append(((i, j), (r, s)))
     if n is None:
         raise ParseError("missing 'n <int>' header")
@@ -262,7 +265,10 @@ def lincomb_from_json(obj):
 
 
 def load_json(text):
+    """The JSON value of text.  Besides malformed text, an integer literal
+    over int's digit limit (a ValueError) and nesting past the recursion
+    limit are ParseErrors."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ParseError(f"invalid JSON: {exc}") from exc

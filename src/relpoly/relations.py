@@ -151,26 +151,18 @@ def _union_find_roots(n, edges):
     return parent
 
 
-def _union_find_blocks(n, edges):
-    """Undirected components of the triangle of height n under the given
-    edges, as frozensets sorted by their least member.
-
-    Built from the root table of _union_find_roots: a root is the least
-    index of its block, so one sweep over the indices meets each block
-    first at its root."""
-    blocks = {}
-    for v, r in zip(vertices(n), _union_find_roots(n, edges)):
-        blocks.setdefault(r, []).append(v)
-    return tuple(map(frozenset, blocks.values()))
-
-
 def connected_components(C):
     """Undirected components of the relation graph, as a tuple of frozensets.
 
     Vertices outside the support are singleton blocks.  Blocks are sorted by
-    their least member.
+    their least member: a root of _union_find_roots is the least index of
+    its block, so one sweep over the indices meets each block first at its
+    root.
     """
-    return _union_find_blocks(C.n, C)
+    blocks = {}
+    for v, r in zip(vertices(C.n), _union_find_roots(C.n, C)):
+        blocks.setdefault(r, []).append(v)
+    return tuple(map(frozenset, blocks.values()))
 
 
 def _same_row_pairs(C):

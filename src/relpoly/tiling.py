@@ -19,12 +19,7 @@ from .patterns import (
     separation,
     tight_arcs,
 )
-from .relations import (
-    _union_find_blocks,
-    _union_find_roots,
-    is_top_connected,
-    support,
-)
+from .relations import _union_find_roots, is_top_connected, support, vertices
 
 
 @dataclass(frozen=True)
@@ -56,13 +51,20 @@ def _require_c_pattern(C, X):
 
 def compute_tiling(C, X):
     """Partition the triangle by equal-entry walks; canonical tile order.
-    Vertices sort by row, so a tile meets the top row iff its largest vertex
-    lies there."""
+
+    The tiles are read off the root table of the tight relations by the
+    rule of _face_dims: a block is lambda1-free iff its root is not the root
+    of an index of the top row.  A root is the least index of its block, so
+    one sweep in index order meets each block first at its root, and the
+    free and the fixed tiles each come in the order of their least vertex."""
     n = C.n
-    free, rest = [], []
-    for t in _union_find_blocks(n, _require_c_pattern(C, X)):
-        (rest if max(t)[0] == n else free).append(t)
-    return Tiling(n, tuple(free + rest), len(free))
+    roots = _union_find_roots(n, _require_c_pattern(C, X))
+    top = set(roots[-n:])
+    free, fixed = {}, {}
+    for v, r in zip(vertices(n), roots):
+        (fixed if r in top else free).setdefault(r, []).append(v)
+    tiles = tuple(map(frozenset, [*free.values(), *fixed.values()]))
+    return Tiling(n, tiles, len(free))
 
 
 def lambda_free(tiling, lam):
@@ -89,20 +91,10 @@ def tiling_matrix(C, X, tiling=None):
     return TilingMatrix(n, s, tuple(map(tuple, rows)))
 
 
-def _width(A):
-    """Columns of A: s, or n-1 for the identity that stands in when s = 0."""
-    return A.free_tile_count if A.free_tile_count > 0 else A.n - 1
-
-
 def kernel(A):
-    """Deterministic exact basis of ker(A), as tuples of rationals."""
-    return linalg.nullspace(A.entries, _width(A))
-
-
-def kernel_dim(A):
-    """len(kernel(A)): the number of columns minus the rank."""
-    rows = [{c: x for c, x in enumerate(row) if x} for row in A.entries]
-    return _width(A) - linalg.sparse_rank(rows)
+    """Deterministic exact basis of ker(A), as tuples of rationals.  A has
+    s columns, or n-1 for the identity that stands in when s = 0."""
+    return linalg.nullspace(A.entries, A.free_tile_count or A.n - 1)
 
 
 def _face_dims(n, tight):
@@ -130,8 +122,9 @@ def min_face_dims(C, X):
 
     These are the minimal-face dimensions of the unconstrained, top-row-pinned
     and weight-pinned polyhedra at X.  They are counted off the root table of
-    the one union-find, equal to len(T.tiles), T.free_count and
-    kernel_dim(tiling_matrix(C, X, T)) for T = compute_tiling(C, X).
+    the one union-find, with no tile or tiling matrix built, and equal
+    len(T.tiles), T.free_count and len(kernel(tiling_matrix(C, X, T))) for
+    T = compute_tiling(C, X).
     """
     return _face_dims(C.n, _require_c_pattern(C, X))
 

@@ -329,8 +329,8 @@ def test_enumerate_unbounded_is_domain_error(capsys, tmp_path):
     ("plus", ["--mu", "1,1,1"], '"bounded": false, "count": 2'),
 ], ids=["plain", "limit", "mu", "unbounded", "unbounded-mu"])
 def test_enumerate_relaxes_the_arcs_once(capsys, tmp_path, monkeypatch, family, extra, want):
-    # Without --mu, first_points proves boundedness, so only --mu needs
-    # is_polytope; either way one _bounds relaxation per request.
+    # With or without --mu, one _bounds relaxation per request: the row map
+    # and the missing coordinates come off the same table.
     calls = []
     bounds = polyhedra._bounds
     monkeypatch.setattr(polyhedra, "_bounds", lambda *a: calls.append(a) or bounds(*a))
@@ -754,6 +754,16 @@ MALFORMED = {
                         "bad combination JSON"),
     **{f"generator-{spec}": ("generator", spec, f"generator indices in {spec!r} out of range 1..3")
        for spec in ("E 0 1", "E 3 4", "E 0 0", "E 4 4")},
+    # Past a limit of the Python reader: an integer over int's 4300-digit
+    # limit, in JSON and in text, and JSON nested past the recursion limit.
+    "relations-json-long-coordinate": ("relations", '{"n": 3, "relations": [[%s, 1, 2, 1]]}'
+                                       % ("9" * 5000), "invalid JSON: Exceeds the limit"),
+    "relations-text-long-coordinate": ("relations", "n 3\n%s 1 -> 2 1\n" % ("9" * 5000),
+                                       "line 2: coordinate too long"),
+    "pattern-json-long-n": ("pattern", '{"n": %s, "entries": []}' % ("9" * 5000),
+                            "invalid JSON: Exceeds the limit"),
+    "input-deeply-nested": ("input", '{"terms": %s%s}' % ("[" * 100000, "]" * 100000),
+                            "invalid JSON: maximum recursion depth exceeded"),
     "generator-F 1 2": ("generator", "F 1 2", "generator spec must be 'E k l', got 'F 1 2'"),
     "generator-E a b": ("generator", "E a b", "bad generator indices in 'E a b'"),
 }
