@@ -142,9 +142,13 @@ def cmd_enumerate(args, C, L):
     # says whether the polyhedron is bounded.
     below, missing = _row_map_and_missing(C, L, mu)
     count, points = _first_points(L, below, args.limit)
+    # Each point is dump_pattern's text without its final newline.  A point
+    # has L's labels and enclosures at every vertex, so the sidecar lines are
+    # L's, built once.
+    labels = fileio._label_lines(L)
     out = {
         "count": count,
-        "points": [fileio.dump_pattern(p).rstrip("\n") for p in points],
+        "points": [fileio._rows_text(p) + labels for p in points],
         "bounded": not missing,
         "unbounded_coordinates": [list(v) for v in missing],
     }

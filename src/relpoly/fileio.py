@@ -182,21 +182,27 @@ def parse_pattern(text):
 @lru_cache(maxsize=16)
 def _rows_template(n):
     """The rows of a pattern on n rows with a %s per entry, in the order of
-    Pattern.entries (top row first).  Cached: building it takes about as
-    long as filling it in."""
-    return "\n".join(" ".join(["%s"] * k) for k in range(n, 0, -1)) + "\n"
+    Pattern.entries (top row first), without the final newline.  Cached:
+    building it takes about as long as filling it in."""
+    return "\n".join(" ".join(["%s"] * k) for k in range(n, 0, -1))
+
+
+def _rows_text(X):
+    """X's rows as dump_pattern writes them, without the final newline."""
+    # %s applies str to each item, and an unlabeled entry's str is its
+    # offset's, so only labeled entries go through Entry.__str__.
+    return _rows_template(X.n) % tuple([e.offset if e.label is None else e for e in X.entries])
+
+
+def _label_lines(X):
+    """The sidecar line of each of X's labels, sorted by name, each after a
+    newline: the empty string when no entry is labeled."""
+    labels = {e.label: (e.lo, e.hi) for e in X.entries if e.label is not None}
+    return "".join(f"\n{name} = {lo} {hi}" for name, (lo, hi) in sorted(labels.items()))
 
 
 def dump_pattern(X):
-    # %s applies str to each item, and an unlabeled entry's str is its
-    # offset's, so only labeled entries go through Entry.__str__.
-    ents = X.entries
-    text = _rows_template(X.n) % tuple([e.offset if e.label is None else e for e in ents])
-    labels = {e.label: (e.lo, e.hi) for e in ents if e.label is not None}
-    for name in sorted(labels):
-        lo, hi = labels[name]
-        text += f"{name} = {lo} {hi}\n"
-    return text
+    return _rows_text(X) + _label_lines(X) + "\n"
 
 
 def pattern_to_json(X):

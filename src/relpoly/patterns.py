@@ -204,6 +204,7 @@ class Pattern:
     n: int
     entries: tuple  # Entry per vertex, serialization order (row n first)
     _hash = None  # not a field: the cached hash, set on first use
+    _weight_vector = None  # not a field: weight_vector's value, set on first use
 
     def __post_init__(self):
         if len(self.entries) != self.n * (self.n + 1) // 2:
@@ -238,7 +239,8 @@ class Pattern:
 
     def __getstate__(self):
         # Leave the cached hash behind: str hashes, and so those of labeled
-        # entries, differ from one process to the next.
+        # entries, differ from one process to the next.  The cached weight
+        # vector stays behind too.
         return {"n": self.n, "entries": self.entries}
 
     @classmethod
@@ -415,5 +417,12 @@ def weight(X, k):
 
 
 def weight_vector(X):
-    """(w_1, ..., w_n), each row summed once."""
-    return _weights(X, 1, X.n)
+    """(w_1, ..., w_n), each row summed once, and kept on X: a "mu" oracle
+    job reads X's weights for its pins and again to check them, and the
+    second call returns the same tuple.  Nothing is kept when the labels do
+    not cancel, so every call raises."""
+    w = X._weight_vector
+    if w is None:
+        w = _weights(X, 1, X.n)
+        object.__setattr__(X, "_weight_vector", w)
+    return w

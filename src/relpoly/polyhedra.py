@@ -121,17 +121,21 @@ def _top_row(L):
 
 def _walk(L, below):
     """Every point, lazily, in offsets_key order: rows are chosen top-down
-    and each row rises.  Iterative, with a stack of at most n - 1 rows, and
-    the row-1 children of each row 2 taken in one inner loop that builds the
-    points.  Each Entry is built once per vertex and floor, each row's
-    Entries and children once per row reached, and each point once, from
-    Entries, without the Pattern constructor."""
+    and each row rises.  Iterative, with a stack of the rows from the top
+    down to row 3 (the top row alone when n <= 3).  Each row 3 is completed
+    once: its tails, one per row 2 below it, pair that row 2's Entries with
+    its children, and the first visit keeps each tail as it gives it out.
+    A row 3 reached again, from another row 4, loops over its kept tails
+    with no stack step and no call to below, and a walk cut short has kept
+    no tail past its last point's row 2.  A tail refers only to rows the
+    walk keeps anyway, so the kept tails are one pair per row 2 below each
+    row 3 reached, and nothing is kept per row 4.  Each Entry is built once
+    per vertex and floor, each row's Entries and children once per row
+    reached, and each point once, from Entries, without the Pattern
+    constructor."""
     n = L.n
     top = tuple(L.row(n))
-    if n == 1:
-        yield Pattern(n, top)
-        return
-    cells, made, kids = {}, {}, {}
+    cells, made, kids, tails = {}, {}, {}, {}
 
     def entries(k, row):
         """The Entries of row k, each built once per vertex and floor."""
@@ -154,10 +158,26 @@ def _walk(L, below):
             out = kids[(k, row)] = [(r, entries(k - 1, r)) for r in below(k, row)]
         return out
 
+    def tails_of(k, row, kept):
+        """The tails of row k <= 3, lazily, each added to kept as it is given
+        out.  A tail is a row 2's Entries (none when k <= 2) with that row
+        2's children; with no row 2 (n = 1) the one child is empty."""
+        if k < 3:
+            tail = ((), children(2, row) if k == 2 else [((), ())])
+            kept.append(tail)
+            yield tail
+            return
+        for r2 in below(3, row):
+            tail = (entries(2, r2), children(2, r2))
+            kept.append(tail)
+            yield tail
+
     new, put = object.__new__, object.__setattr__
     # Level s of the stack holds the Entries of the rows above row
     # n + 1 - s and an iterator over that row's choices, each a row with its
-    # Entries; level 1 holds the top row alone.
+    # Entries; level 1 holds the top row alone.  Row `last` is the lowest on
+    # the stack: row 3, or the top row when n <= 3.
+    last = min(n, 3)
     stack = [((), iter([(_top_row(L), top)]))]
     while stack:
         prefix, rows = stack[-1]
@@ -167,14 +187,20 @@ def _walk(L, below):
             continue
         row, ents = step
         prefix += ents
-        if len(stack) < n - 1:
-            stack.append((prefix, iter(children(n + 1 - len(stack), row))))
+        k = n + 1 - len(stack)
+        if k > last:
+            stack.append((prefix, iter(children(k, row))))
             continue
-        for _, last in children(2, row):
-            P = new(Pattern)
-            put(P, "n", n)
-            put(P, "entries", prefix + last)
-            yield P
+        found = tails.get(row)
+        if found is None:
+            found = tails_of(k, row, tails.setdefault(row, []))
+        for e2, leaves in found:
+            head = prefix + e2
+            for _, e1 in leaves:
+                P = new(Pattern)
+                put(P, "n", n)
+                put(P, "entries", head + e1)
+                yield P
 
 
 def _points(L, below, limit=None):

@@ -17,7 +17,7 @@ from relpoly import cli, fileio, polyhedra, selftest
 from relpoly.cli import main
 from relpoly.errors import RelpolyError
 from relpoly.modaction import check_commutators
-from relpoly.patterns import Pattern, constant_pattern
+from relpoly.patterns import Entry, Pattern, constant_pattern
 from relpoly.polyhedra import enumerate_integral
 from relpoly.relations import RelationSet, standard_set
 
@@ -393,6 +393,32 @@ def test_enumerate_output_is_pinned(capsys, tmp_path, case, fmt):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digests[fmt]
+
+
+def test_enumerate_prints_labeled_points_as_dump_pattern(capsys, tmp_path):
+    # Each point is dump_pattern's text less its final newline, the sidecar
+    # line of its label included; every point has the base's labels.
+    C = RelationSet(3, [((2, 1), (1, 1)), ((1, 1), (2, 2)), ((3, 1), (2, 1)),
+                        ((2, 1), (3, 2)), ((3, 2), (2, 2)), ((2, 2), (3, 3))])
+    a, b = (lambda v: Entry.labeled("a", 1, 2, v)), (lambda v: Entry.labeled("b", -1, 0, v))
+    L = Pattern.from_rows([[a(2), a(1), a(0)], [a(1), a(0)], [a(0)]])
+    rel, pat = tmp_path / "c.rel", tmp_path / "l.pat"
+    rel.write_text(fileio.dump_relations(C))
+    pat.write_text(fileio.dump_pattern(L))
+    code, out = run(capsys, "enumerate", "--relations", str(rel), "--pattern", str(pat))
+    points = enumerate_integral(C, L).points
+    assert code == 0 and len(points) == 8
+    assert json.loads(out)["points"] == [fileio.dump_pattern(P).rstrip("\n") for P in points]
+    assert all(text.endswith("\na = 1 2") for text in json.loads(out)["points"])
+    # Two labels: the sidecar lines come sorted by name.
+    M = Pattern.from_rows([[b(1), a(0)], [b(1)]])
+    two = RelationSet(2, [((2, 1), (1, 1)), ((1, 1), (2, 1))])
+    rel.write_text(fileio.dump_relations(two))
+    pat.write_text(fileio.dump_pattern(M))
+    code, out = run(capsys, "enumerate", "--relations", str(rel), "--pattern", str(pat))
+    assert code == 0
+    assert json.loads(out)["points"] == [fileio.dump_pattern(M).rstrip("\n")]
+    assert fileio.dump_pattern(M) == "b+1 a\nb+1\na = 1 2\nb = -1 0\n"
 
 
 def test_enumerate_n46_constant_pattern(capsys, tmp_path):

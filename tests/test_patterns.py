@@ -408,6 +408,24 @@ def test_weight_label_cancellation():
         weight(X, 2)
 
 
+def test_weight_vector_is_kept_on_the_pattern():
+    X = Pattern.from_rows([[2, 1, 0], [1, 0], [0]])
+    assert "_weight_vector" not in vars(X)
+    w = weight_vector(X)
+    assert vars(X)["_weight_vector"] is w and weight_vector(X) is w
+    # Pickling leaves the kept weights behind, with the cached hash.
+    hash(X)
+    back = pickle.loads(pickle.dumps(X))
+    assert back == X and vars(back) == {"n": 3, "entries": X.entries}
+    assert weight_vector(back) == w
+    # Labels that do not cancel keep nothing, so each call raises.
+    Y = Pattern.from_rows([[Entry.sqrt(2), 1, 0], [Entry.sqrt(2), 0], [1]])
+    for _ in range(2):
+        with pytest.raises(NonRationalWeight, match="^labels do not cancel in weight 2$"):
+            weight_vector(Y)
+    assert "_weight_vector" not in vars(Y)
+
+
 def test_weights_telescope():
     rng = random.Random(5)
     for _ in range(30):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from relpoly import linalg, polyhedra
+from relpoly import linalg, patterns, polyhedra
 from relpoly.errors import (
     IncomparableEntries,
     Infeasible,
@@ -372,6 +372,26 @@ def test_face_dim_oracle_weight_slice_points():
     L = gt_base((2, 1, 0))
     for P in enumerate_integral_weight(C, L, [1, 1, 1]).points:
         assert face_dim_oracle(system_at(C, P, "mu"), P) == 0
+
+
+def test_mu_oracle_job_sums_the_weights_once(monkeypatch):
+    # system_at reads the pins off X and face_dim_oracle checks X against
+    # them: the check gets the weights kept on X, with no second pass.
+    calls = []
+    weights = patterns._weights
+    monkeypatch.setattr(patterns, "_weights", lambda *args: calls.append(args) or weights(*args))
+    C = standard_set(4, 1, "both")
+    X = random_c_pattern(random.Random(40), C)
+    d = face_dim_oracle(system_at(C, X, "mu"), X)
+    assert len(calls) == 1
+    # A system built elsewhere is still checked: another pattern with the
+    # same top row and other weights violates the pins.
+    Y = Pattern(X.n, X.entries)
+    assert face_dim_oracle(system_at(C, Y, "mu"), Y) == d and len(calls) == 2
+    Z = gt_base(tuple(e.offset for e in X.row(4)))
+    assert weight_vector(Z) != weight_vector(X)
+    with pytest.raises(Infeasible, match="^weight pins violated$"):
+        face_dim_oracle(system_at(C, X, "mu"), Z)
 
 
 def test_face_dim_oracle_infeasible():
@@ -993,12 +1013,14 @@ def moved_base(X, kind):
     return Pattern.from_rows([[move(e) for e in X.row(k)] for k in range(X.n, 0, -1)])
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_walk_matches_the_reference_at_each_n(n):
-    # The walk takes each row 2's children in its leaf loop: n = 1 has no
-    # row 2, at n = 2 the top row is row 2, and from n = 3 on the stack
-    # holds the rows above.  The cyclic set ties each column-1 entry to the
-    # one above it both ways.
+    # The walk's stack ends at row 3, and each row 3 keeps its tails, one
+    # per row 2 below it: at n = 1 there is no row 2, at n = 2 the top row
+    # is row 2, at n = 3 the top row is row 3, at n = 4 each row 3 hangs
+    # straight off the top row, and from n = 5 on a row 3 reached again
+    # reuses its tails.  The cyclic set ties each column-1 entry to the one
+    # above it both ways.
     rng = random.Random(4049 + n)
     both = standard_set(n, 1, "both")
     cyclic = RelationSet(n, list(both) + [((k, 1), (k + 1, 1)) for k in range(1, n)])

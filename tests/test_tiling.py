@@ -150,7 +150,9 @@ def test_min_face_dims():
                          Pattern.from_rows([[5, 4, 3], [2, 1], [0]])) == (6, 3, 1)
 
 
-def test_kernel_dim_invariant_under_column_permutation():
+def test_kernel_and_nullspace_agree_under_column_permutation():
+    # len(kernel(A)) is the nullity that nullspace finds on A with its
+    # columns shuffled.
     C, X = fig_setup()
     A = tiling_matrix(C, X)
     rng = random.Random(2)
