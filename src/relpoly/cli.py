@@ -24,7 +24,7 @@ from .modaction import RAISE, LOWER, CARTAN, act_in_basis, check_commutators
 from .polyhedra import _first_points, _row_map, _row_map_and_missing, _walk
 from .relations import check_admissible, is_reduced, is_top_connected, standard_set
 from .selftest import DEFAULT_COUNT, run_selftest
-from .tiling import compute_tiling, kernel, min_face_dims, tiling_matrix
+from .tiling import compute_tiling, kernel, lambda_free, min_face_dims, tiling_matrix
 
 FAMILIES = {"C1": (1, "both"), "Ck": (None, "both"), "Ck+": (None, "plus"),
             "Ck-": (None, "minus"), "empty": (1, "empty")}
@@ -117,11 +117,12 @@ def cmd_tile(args, C, X):
     tiling = compute_tiling(C, X)
     A = tiling_matrix(C, X, tiling)
     ker = kernel(A)
+    free2 = set(lambda_free(tiling, {1, C.n}))
     out = {
         # Tiling puts its free_count lambda1-free tiles first.
         "tiles": [{"vertices": [list(v) for v in sorted(t)],
                    "lambda1_free": i < tiling.free_count,
-                   "lambda2_free": all(v[0] not in (1, C.n) for v in t)}
+                   "lambda2_free": t in free2}
                   for i, t in enumerate(tiling.tiles)],
         "matrix": [list(row) for row in A.entries],
         # nullspace's zero coordinates are all linalg._ZERO: spell them

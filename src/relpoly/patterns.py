@@ -201,6 +201,10 @@ def row_starts(n):
 
 @dataclass(frozen=True)
 class Pattern:
+    # The two fields are slots, so that a point is built with two slot stores
+    # and no dict.  The cached hash and weights are not fields: each reads
+    # through the class's None until its first write makes the instance dict.
+    __slots__ = ("n", "entries", "__dict__")
     n: int
     entries: tuple  # Entry per vertex, serialization order (row n first)
     _hash = None  # not a field: the cached hash, set on first use
@@ -223,8 +227,8 @@ class Pattern:
         """A Pattern on a tuple of n(n+1)/2 Entries, taken as it is, without
         the length check and coercion of the public constructor."""
         P = object.__new__(cls)
-        object.__setattr__(P, "n", n)
-        object.__setattr__(P, "entries", entries)
+        _set_n(P, n)
+        _set_entries(P, entries)
         return P
 
     def __hash__(self):
@@ -242,6 +246,11 @@ class Pattern:
         # entries, differ from one process to the next.  The cached weight
         # vector stays behind too.
         return {"n": self.n, "entries": self.entries}
+
+    def __setstate__(self, state):
+        # The state is __getstate__'s dict; its two values go to the slots.
+        _set_n(self, state["n"])
+        _set_entries(self, state["entries"])
 
     @classmethod
     def from_rows(cls, rows):
@@ -283,6 +292,10 @@ class Pattern:
         return " | ".join(
             " ".join(str(e) for e in row) for row in self.rows()
         )
+
+
+# The slot stores of Pattern's fields, past its frozen __setattr__.
+_set_n, _set_entries = Pattern.n.__set__, Pattern.entries.__set__
 
 
 def constant_pattern(n, value=0):

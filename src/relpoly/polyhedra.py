@@ -172,7 +172,7 @@ def _walk(L, below):
             kept.append(tail)
             yield tail
 
-    new, put = object.__new__, object.__setattr__
+    new, set_n, set_entries = object.__new__, Pattern.n.__set__, Pattern.entries.__set__
     # Level s of the stack holds the Entries of the rows above row
     # n + 1 - s and an iterator over that row's choices, each a row with its
     # Entries; level 1 holds the top row alone.  Row `last` is the lowest on
@@ -198,8 +198,8 @@ def _walk(L, below):
             head = prefix + e2
             for _, e1 in leaves:
                 P = new(Pattern)
-                put(P, "n", n)
-                put(P, "entries", head + e1)
+                set_n(P, n)
+                set_entries(P, head + e1)
                 yield P
 
 

@@ -1,5 +1,7 @@
 """Entries, patterns, pointwise predicates, and weight functionals."""
 
+import copy
+import dataclasses
 import json
 import os
 import pickle
@@ -416,7 +418,7 @@ def test_weight_vector_is_kept_on_the_pattern():
     # Pickling leaves the kept weights behind, with the cached hash.
     hash(X)
     back = pickle.loads(pickle.dumps(X))
-    assert back == X and vars(back) == {"n": 3, "entries": X.entries}
+    assert back == X and (back.n, back.entries) == (3, X.entries) and vars(back) == {}
     assert weight_vector(back) == w
     # Labels that do not cancel keep nothing, so each call raises.
     Y = Pattern.from_rows([[Entry.sqrt(2), 1, 0], [Entry.sqrt(2), 0], [1]])
@@ -424,6 +426,30 @@ def test_weight_vector_is_kept_on_the_pattern():
         with pytest.raises(NonRationalWeight, match="^labels do not cancel in weight 2$"):
             weight_vector(Y)
     assert "_weight_vector" not in vars(Y)
+
+
+def test_slotted_pattern_round_trips():
+    # n and entries are slots; pickle, copy and replace rebuild them and
+    # carry no cached hash or weights into the instance dict.
+    C = standard_set(3, 1, "both")
+    walked = enumerate_integral(C, Pattern.from_rows([[2, 1, 0], [2, 1], [2]])).points[5]
+    kept = Pattern.from_rows([[3, 1, 0], [2, 0], [1]])
+    hash(kept)
+    weight_vector(kept)
+    assert set(vars(kept)) == {"_hash", "_weight_vector"}
+    labeled = Pattern.from_rows([[Entry.sqrt(2, 1), Entry.labeled("t", 1, 2), 0],
+                                 [Entry.sqrt(2), Fraction(1, 3)], [0]])
+    for P in (walked, kept, labeled):
+        copies = [pickle.loads(pickle.dumps(P, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(P), copy.deepcopy(P), dataclasses.replace(P)]
+        for Q in copies + [P]:
+            assert Q == P and (Q.n, Q.entries) == (P.n, P.entries)
+            if Q is not P:
+                assert vars(Q) == {}
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                Q.n = 4
+    assert "_hash" not in vars(walked)
 
 
 def test_weights_telescope():
